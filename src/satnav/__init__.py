@@ -3,6 +3,8 @@ route pointers, plus the two-player first-to-home game on the 3-node line."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CapExceeded,
     DegeneratePolicy,
@@ -31,7 +33,7 @@ from .pointers import (
     WeightedDirectionSpace,
     enumerate_direction_space,
     node_pointer_distribution,
-    sample_direction_vector,
+    sample_pointer_slots,
 )
 from .solver import (
     ByDegree,
@@ -88,75 +90,6 @@ from .game import (
     symmetric_payoff,
 )
 
-__all__ = [
-    "Arc",
-    "BridgeSpec",
-    "ByDegree",
-    "CapExceeded",
-    "DegeneratePolicy",
-    "Diagnostics",
-    "DirectionVector",
-    "GamePayoff",
-    "GameSimulation",
-    "GameSolution",
-    "LineCoefficients",
-    "Network",
-    "NodeClassification",
-    "NonConvergence",
-    "NotATree",
-    "OptimizationResult",
-    "OutOfRange",
-    "Regime",
-    "ResponseCurves",
-    "SatnavError",
-    "ShortestPathData",
-    "SimulationResult",
-    "SingularSystem",
-    "StarSpec",
-    "TimeProfile",
-    "TrustPolicy",
-    "Uniform",
-    "ValidationError",
-    "WeightedDirectionSpace",
-    "asymmetric_equilibrium",
-    "asymmetric_payoff",
-    "asymmetric_q_mid",
-    "best_response",
-    "best_response_curves",
-    "bridge_M",
-    "bridge_time",
-    "build_network",
-    "classify",
-    "enumerate_direction_space",
-    "evaluate_payoff",
-    "expected_profile",
-    "expected_time",
-    "expected_time_between",
-    "find_bridges_and_cuts",
-    "golden_section",
-    "hitting_times_for_direction",
-    "line_coefficients",
-    "line_cross_time",
-    "line_increment",
-    "line_z",
-    "minimize_scalar_grid",
-    "network_to_text",
-    "node_pointer_distribution",
-    "optimize_counting",
-    "optimize_uniform",
-    "parse_network_file",
-    "parse_network_text",
-    "sample_direction_vector",
-    "shortest_paths",
-    "simulate",
-    "simulate_game",
-    "solve_game",
-    "star_optimal_trust",
-    "star_time",
-    "step_distribution",
-    "symmetric_equilibrium",
-    "symmetric_payoff",
-    "tree_solve_counting",
-    "trust_curve",
-    "unit_line_cross_time",
-]
+# the public API is every name imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))

@@ -121,8 +121,13 @@ def cmd_solve(args, argv) -> int:
     net = _load_network(args)
     policy = _policy_from_args(args)
     to = args.to if args.to is not None else net.home
-    exact = expected_time_between(net, args.p, policy, args.start, to,
-                                  cap=args.cap)
+    try:
+        exact = expected_time_between(net, args.p, policy, args.start, to,
+                                      cap=args.cap)
+    except CapExceeded:
+        if not args.simulate:
+            raise
+        exact = ""  # over the cap only the Monte Carlo columns are filled
     header = ["start", "to", "p", "policy", "time"]
     row = [args.start, to, args.p, _fmt_policy(policy), exact]
     if args.simulate:

@@ -76,6 +76,8 @@ class Network:
             v: tuple(lst) for v, lst in incident.items()
         }
         self._arc_by_id: dict[str, Arc] = {a.arc_id: a for a in arcs}
+        # arrays built on first use by satnav.pointers.compile_network
+        self._compiled = None
 
         # connectivity
         reached = {home}

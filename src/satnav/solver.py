@@ -3,8 +3,9 @@
 For one direction vector the walk is a Markov chain on the nodes with home
 absorbing: at a branch node the pointer arc is taken with the trust
 probability, every other incident arc uniformly otherwise; a leaf reflects.
-Expected hitting times solve a dense linear system per direction vector and
-are then averaged with the direction-space weights.
+Expected hitting times solve a dense linear system per direction vector,
+gathered from the step table's rows of I - P, and are then averaged with
+the direction-space weights.
 
 Nodes from which the induced chain cannot reach home -- or that can wander
 into a region that cannot -- have infinite expected time. They are found by
@@ -19,18 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
 
 from .errors import SingularSystem, ValidationError
-from .network import Network, classify, shortest_paths
+from .network import Network, shortest_paths
 from .pointers import (
     ENUMERATION_CAP,
     DirectionVector,
     WeightedDirectionSpace,
+    compile_network,
     enumerate_direction_space,
-    node_pointer_distribution,
+    sample_pointer_slots,
+    step_table,
 )
 
 
@@ -60,6 +64,8 @@ class ByDegree:
     q_by_degree: Mapping[int, float]
 
     def __post_init__(self):
+        # own copy, so later edits to the caller's dict cannot skip the checks
+        object.__setattr__(self, "q_by_degree", dict(self.q_by_degree))
         for k, q in self.q_by_degree.items():
             _check_probability(f"trust q_{k}", q)
 
@@ -75,12 +81,17 @@ class ByDegree:
 TrustPolicy = Union[Uniform, ByDegree]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TimeProfile:
-    """Expected time to home from every node; +inf where home is not
-    reached almost surely."""
+    """Expected time to home from every node, in `nodes` order; +inf where
+    home is not reached almost surely."""
 
-    time: dict[str, float]
+    nodes: tuple[str, ...]
+    times: np.ndarray
+
+    @cached_property
+    def time(self) -> dict[str, float]:
+        return dict(zip(self.nodes, self.times.tolist()))
 
 
 @dataclass(frozen=True)
@@ -98,84 +109,41 @@ def step_distribution(
     """Arc probabilities for one step from `v` (which must not be home)."""
     if v == net.home:
         raise ValidationError("no step is taken from the home node")
-    incident = net.incident(v)
-    n = len(incident)
-    if n == 1:
-        return {incident[0].arc_id: 1.0}
-    q = policy.trust_at(n)
-    ptr = d.arc_at(v)
-    other = (1.0 - q) / (n - 1)
-    return {a.arc_id: (q if a.arc_id == ptr else other) for a in incident}
+    form = compile_network(net)
+    steps = step_table(net, policy)
+    i = form.index[v]
+    ptr = form.arc_ids[i].index(d.pointer[v]) if i in form.branch else 0
+    probs = steps.probs[form.row_start[i] + ptr]
+    return dict(zip(form.arc_ids[i], probs.tolist()))
 
 
 def hitting_times_for_direction(
-    net: Network, d: DirectionVector, policy: TrustPolicy
+    net: Network, d: DirectionVector | np.ndarray, policy: TrustPolicy
 ) -> TimeProfile:
     """Solve T(v) = sum_a P(a) (len(a) + T(other end)), T(home) = 0.
 
-    Nodes whose walk has positive probability of never reaching home get
-    +inf; the linear system is restricted to the rest.
+    `d` is a DirectionVector or one row of a direction space's pointer
+    slots. Nodes whose walk has positive probability of never reaching home
+    get +inf; the linear system is restricted to the rest.
     """
-    home = net.home
-    steps = {
-        v: step_distribution(net, d, policy, v) for v in net.nodes if v != home
-    }
-
-    # nodes that can reach home through positive-probability arcs
-    can_reach = {home}
-    changed = True
-    while changed:
-        changed = False
-        for v, dist in steps.items():
-            if v in can_reach:
-                continue
-            for a in net.incident(v):
-                if dist.get(a.arc_id, 0.0) > 0.0 and a.other(v) in can_reach:
-                    can_reach.add(v)
-                    changed = True
-                    break
-
-    # nodes with a positive-probability route into the complement: their
-    # expected hitting time is infinite even if absorption is possible
-    doomed = set(net.nodes) - can_reach
-    changed = True
-    while changed:
-        changed = False
-        for v, dist in steps.items():
-            if v in doomed:
-                continue
-            for a in net.incident(v):
-                if dist.get(a.arc_id, 0.0) > 0.0 and a.other(v) in doomed:
-                    doomed.add(v)
-                    changed = True
-                    break
-
-    unknowns = sorted(v for v in net.nodes if v != home and v not in doomed)
-    time: dict[str, float] = {home: 0.0}
-    time.update({v: math.inf for v in doomed})
-    if unknowns:
-        index = {v: i for i, v in enumerate(unknowns)}
-        n = len(unknowns)
-        mat = np.eye(n)
-        rhs = np.zeros(n)
-        for v in unknowns:
-            i = index[v]
-            for a in net.incident(v):
-                prob = steps[v].get(a.arc_id, 0.0)
-                if prob == 0.0:
-                    continue
-                rhs[i] += prob * a.length
-                w = a.other(v)
-                if w != home:
-                    mat[i, index[w]] -= prob
+    form = compile_network(net)
+    steps = step_table(net, policy)
+    slots = form.slots_of(d) if isinstance(d, DirectionVector) else d
+    rows, rhs = steps.system
+    rid, solved, finite = steps.row_ids(slots), form.nonhome, steps.finite(slots)
+    times = np.zeros(len(form.nodes))
+    if finite is not None:
+        times[solved[~finite]] = math.inf
+        rows, solved, rid = rows[:, finite], solved[finite], rid[finite]
+    if len(rid):
         try:
-            sol = np.linalg.solve(mat, rhs)
+            times[solved] = np.linalg.solve(rows[rid], rhs[rid])
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
-                f"hitting-time system singular for pointers {d.pointer}: {exc}"
+                "hitting-time system singular for pointers "
+                f"{form.pointers_at(slots)}: {exc}"
             ) from None
-        time.update({v: float(sol[index[v]]) for v in unknowns})
-    return TimeProfile(time)
+    return TimeProfile(form.nodes, times)
 
 
 def profile_residual(
@@ -194,11 +162,6 @@ def profile_residual(
     return worst
 
 
-def _validate_policy(net: Network, policy: TrustPolicy) -> None:
-    for v in classify(net).branch_nodes:
-        policy.trust_at(net.degree(v))
-
-
 def expected_profile(
     net: Network,
     p: float,
@@ -212,17 +175,15 @@ def expected_profile(
     finite whenever every pointer configuration that actually occurs leads
     home. A node is +inf as soon as one positive-weight direction strands it.
     """
-    _validate_policy(net, policy)
+    step_table(net, policy)
     if space is None:
         space = enumerate_direction_space(net, p=p, cap=cap)
-    total = {v: 0.0 for v in net.nodes}
-    for d, weight in space.entries:
+    total = np.zeros(len(net.nodes))
+    for slots, weight in zip(space.slots, space.weights.tolist()):
         if weight == 0.0:
             continue
-        profile = hitting_times_for_direction(net, d, policy)
-        for v, t in profile.time.items():
-            total[v] += weight * t if not math.isinf(t) else math.inf
-    return total
+        total += weight * hitting_times_for_direction(net, slots, policy).times
+    return dict(zip(net.nodes, total.tolist()))
 
 
 def expected_time(
@@ -279,8 +240,7 @@ def simulate(
     """
     if n_walks < 1:
         raise ValidationError("n_walks must be >= 1")
-    _check_probability("reliability p", p)
-    _validate_policy(net, policy)
+    steps = step_table(net, policy)
     if start not in net.nodes:
         raise ValidationError(f"unknown start node {start!r}")
 
@@ -291,66 +251,27 @@ def simulate(
         raise ValidationError("max_time must be positive")
     rng = np.random.default_rng(seed)
 
-    nodes = sorted(net.nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    n_nodes = len(nodes)
-    branch = classify(net).branch_nodes
-    max_deg = max(net.degree(v) for v in nodes)
-
-    dest = np.zeros((n_nodes, max_deg), dtype=np.int64)
-    alen = np.zeros((n_nodes, max_deg), dtype=float)
-    # cumulative step probabilities per (node, pointer slot)
-    cum_step = np.ones((n_nodes, max_deg, max_deg))
-    cum_mu = np.ones((n_nodes, max_deg))
-    for v in nodes:
-        i = idx[v]
-        incident = net.incident(v)
-        deg = len(incident)
-        for s, a in enumerate(incident):
-            dest[i, s] = idx[a.other(v)]
-            alen[i, s] = a.length
-        if v == net.home:
-            continue
-        if v in branch:
-            mu = node_pointer_distribution(net, spd, v, p)
-            cum_mu[i, :deg] = np.cumsum([mu[a.arc_id] for a in incident])
-            q = policy.trust_at(deg)
-            for ptr in range(deg):
-                probs = np.full(deg, (1.0 - q) / (deg - 1))
-                probs[ptr] = q
-                cum_step[i, ptr, :deg] = np.cumsum(probs)
-                cum_step[i, ptr, deg - 1] = 1.0
-        else:  # leaf: forced reflection
-            cum_step[i, 0, :] = 1.0
-        cum_mu[i, deg - 1] = 1.0
-
+    form = compile_network(net)
     # one pointer slot per (walk, node); only branch columns are consulted
-    ptr = np.zeros((n_walks, n_nodes), dtype=np.int64)
-    for v in sorted(branch):
-        i = idx[v]
-        deg = net.degree(v)
-        ptr[:, i] = np.searchsorted(
-            cum_mu[i, :deg], rng.random(n_walks), side="right"
-        )
+    ptr = sample_pointer_slots(net, spd, p, n_walks, rng)
 
-    pos = np.full(n_walks, idx[start], dtype=np.int64)
+    pos = np.full(n_walks, form.index[start], dtype=np.int64)
     times = np.zeros(n_walks)
     walk_id = np.arange(n_walks)
     hit_times: list[np.ndarray] = []
     censored = 0
-    home_i = idx[net.home]
 
-    active = pos != home_i
+    active = pos != form.home
     pos, times, walk_id = pos[active], times[active], walk_id[active]
     if n_walks - len(pos) > 0:
         hit_times.append(np.zeros(n_walks - len(pos)))
 
     while len(pos) > 0:
-        cum = cum_step[pos, ptr[walk_id, pos]]
+        cum = steps.cum[pos, ptr[walk_id, pos]]
         slot = (rng.random((len(pos), 1)) > cum).sum(axis=1)
-        times = times + alen[pos, slot]
-        pos = dest[pos, slot]
-        done = pos == home_i
+        times = times + form.alen[pos, slot]
+        pos = form.dest[pos, slot]
+        done = pos == form.home
         if done.any():
             hit_times.append(times[done])
         keep = ~done

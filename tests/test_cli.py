@@ -7,7 +7,12 @@ import sys
 import pytest
 
 from satnav import (
+    Uniform,
+    expected_time,
+    fixtures,
+    optimize_uniform,
     parse_network_text,
+    simulate,
     star_optimal_trust,
     symmetric_equilibrium,
 )
@@ -87,6 +92,20 @@ def test_solve_cap_exceeded_suggests_simulation(capsys):
     assert "--simulate" in err
 
 
+def test_solve_over_cap_with_simulation_leaves_time_empty(capsys):
+    code, out, err = run_cli(capsys, "solve", "--fixture", "tree",
+                             "--p", "0.5", "--q", "0.5", "--start", "B",
+                             "--cap", "2", "--simulate", "1000")
+    assert code == 0
+    assert err == ""
+    header, data = parse_csv(out)
+    assert header == ["start", "to", "p", "policy", "time", "sim_mean",
+                      "sim_se", "sim_censored"]
+    assert data[0][4] == ""
+    assert float(data[0][5]) > 0
+    assert data[0][7] == "0"
+
+
 def test_solve_counting_policy_flags(capsys):
     code, out, _ = run_cli(capsys, "solve", "--fixture", "spike",
                            "--p", "0.75", "--q2", "1.0", "--q3", "0.55051",
@@ -128,14 +147,54 @@ def test_outputs_are_reproducible(capsys):
     assert first == second
 
 
-def test_out_file(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [(), ("--simulate", "1000")],
+                         ids=["exact", "simulate"])
+def test_out_file(tmp_path, capfd, extra):
     out_path = tmp_path / "result.csv"
-    code, out, _ = run_cli(capsys, "solve", "--fixture", "triangle",
+    code, out, _ = run_cli(capfd, "solve", "--fixture", "triangle",
                            "--p", "0.75", "--q", "0.68", "--start", "A",
-                           "--out", str(out_path))
+                           "--out", str(out_path), *extra)
     assert code == 0
     assert out == ""
     assert out_path.read_text().startswith("# command:")
+
+
+def test_library_writes_nothing_to_stdout(capfd):
+    net = fixtures.fixture("spike")
+    expected_time(net, 0.75, Uniform(0.55), "X")
+    optimize_uniform(net, 0.75, "X")
+    simulate(net, 0.75, Uniform(0.55), "X", 1000, seed=1)
+    assert capfd.readouterr().out == ""
+
+
+# Exact stdout, walker draws and all digits, pinned across versions.
+GOLDEN_SPIKE = """\
+# command: satnav solve --fixture spike --p 0.75 --q2 1.0 --q3 0.55051 \
+--start X --simulate 20000 --seed 3
+# seed: 3
+# version: 0.1.0
+start,to,p,policy,time,sim_mean,sim_se,sim_censored
+X,H,0.75,q2=1;q3=0.55051,5.05554839633,5.0682,0.0497408398156,0
+"""
+
+GOLDEN_TRIANGLE_BLOCKED = """\
+# command: satnav solve --fixture triangle --p 0.75 --q 1 --start A \
+--simulate 1000 --seed 2
+# seed: 2
+# version: 0.1.0
+start,to,p,policy,time,sim_mean,sim_se,sim_censored
+A,C,0.75,q=1,inf,2.31125,0.0163799320692,200
+"""
+
+
+@pytest.mark.parametrize("golden", [GOLDEN_SPIKE, GOLDEN_TRIANGLE_BLOCKED],
+                         ids=["spike", "triangle-blocked"])
+def test_solve_golden_bytes(capsys, golden):
+    argv = golden.splitlines()[0].removeprefix("# command: satnav ").split()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out == golden
 
 
 def test_optimize_star_table_entry(capsys):

@@ -1,5 +1,6 @@
 """Direction-vector space: per-node distributions, enumeration, sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from scipy import stats
 
 from satnav import (
     CapExceeded,
+    classify,
     enumerate_direction_space,
     node_pointer_distribution,
-    sample_direction_vector,
+    sample_pointer_slots,
     shortest_paths,
 )
 from satnav import fixtures as fx
@@ -64,6 +66,14 @@ def test_tree_has_six_vectors(tree):
         assert set(d.pointer) == {"A", "B"}
 
 
+def test_enumeration_order_is_product_of_sorted_arc_ids(spike):
+    space = enumerate_direction_space(spike, p=0.6)
+    branch = sorted(classify(spike).branch_nodes)
+    arc_ids = [sorted(a.arc_id for a in spike.incident(v)) for v in branch]
+    want = [dict(zip(branch, combo)) for combo in itertools.product(*arc_ids)]
+    assert [dict(d.pointer) for d, _ in space.entries] == want
+
+
 def test_cap_exceeded(triangle):
     with pytest.raises(CapExceeded):
         enumerate_direction_space(triangle, p=0.5, cap=3)
@@ -97,20 +107,30 @@ def test_all_correct_weight_is_product(tree):
     assert weight == [pytest.approx(expected)]
 
 
+def drawn_pointers(net, ptr):
+    """The pointer arc per branch node of every drawn row of slots."""
+    branch = sorted(classify(net).branch_nodes)
+    column = {v: net.nodes.index(v) for v in branch}
+    return [{v: net.incident(v)[row[column[v]]].arc_id for v in branch}
+            for row in ptr.tolist()]
+
+
 def test_sampling_p_one_always_correct(triangle):
     spd = shortest_paths(triangle)
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        d = sample_direction_vector(triangle, spd, 1.0, rng)
-        assert d.pointer == {"A": "AB", "B": "BC"}
+    ptr = sample_pointer_slots(triangle, spd, 1.0, 50, rng)
+    assert ptr.shape == (50, len(triangle.nodes))
+    assert (ptr[:, triangle.nodes.index("C")] == 0).all()  # home: no pointer
+    for pointer in drawn_pointers(triangle, ptr):
+        assert pointer == {"A": "AB", "B": "BC"}
 
 
 def test_sampling_p_zero_always_wrong(triangle):
     spd = shortest_paths(triangle)
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        d = sample_direction_vector(triangle, spd, 0.0, rng)
-        assert d.pointer == {"A": "AC", "B": "AB"}
+    ptr = sample_pointer_slots(triangle, spd, 0.0, 50, rng)
+    for pointer in drawn_pointers(triangle, ptr):
+        assert pointer == {"A": "AC", "B": "AB"}
 
 
 def test_sampling_matches_enumeration(spike):
@@ -122,9 +142,9 @@ def test_sampling_matches_enumeration(spike):
     expected = np.array([w for _, w in space.entries]) * n
     counts = dict.fromkeys(keys, 0)
     rng = np.random.default_rng(20240817)
-    for _ in range(n):
-        d = sample_direction_vector(spike, spd, p, rng)
-        counts[tuple(sorted(d.pointer.items()))] += 1
+    for pointer in drawn_pointers(spike,
+                                  sample_pointer_slots(spike, spd, p, n, rng)):
+        counts[tuple(sorted(pointer.items()))] += 1
     observed = np.array([counts[k] for k in keys])
     result = stats.chisquare(observed, expected)
     assert result.pvalue > 1e-3

@@ -1,6 +1,8 @@
 """Hitting-time solver, averaging, travel between nodes, Monte Carlo."""
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from satnav import (
     simulate,
     step_distribution,
 )
+from satnav import fixtures as fx
 from satnav.solver import profile_residual
 from conftest import small_networks
 
@@ -210,6 +213,15 @@ def test_policy_validation(triangle, spike):
         expected_time(spike, 0.75, ByDegree({2: 0.5}), "X")
 
 
+def test_by_degree_keeps_its_own_trusts(spike):
+    trusts = {2: 0.5, 3: 0.55}
+    policy = ByDegree(trusts)
+    before = expected_time(spike, 0.75, policy, "X")
+    trusts[3] = 5.0
+    assert policy.trust_at(3) == 0.55
+    assert expected_time(spike, 0.75, policy, "X") == before
+
+
 @given(small_networks(), st.floats(min_value=0.1, max_value=0.9),
        st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=25, deadline=None)
@@ -234,3 +246,27 @@ def test_interior_policy_profiles_are_finite(net, q):
 
 def test_branch_nodes_are_only_pointer_sites(c4):
     assert classify(c4).branch_nodes == {"A", "B", "C"}
+
+
+def test_threads_sharing_a_network_get_their_own_policy(tree):
+    # the compiled arrays and the latest step table are cached on the network
+    policies = [Uniform(q) for q in (0.3, 0.5, 0.7, 0.9)]
+    want = [expected_time(fx.tree(), 0.75, policy, "A") for policy in policies]
+    got = [set() for _ in range(8)]
+
+    def work(k):
+        for _ in range(20):
+            got[k].add(expected_time(tree, 0.75, policies[k % 4], "A"))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [{want[k % 4]} for k in range(8)]
