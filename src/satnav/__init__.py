@@ -85,7 +85,6 @@ from .game import (
     best_response_curves,
     evaluate_payoff,
     simulate_game,
-    solve_game,
     symmetric_equilibrium,
     symmetric_payoff,
 )

@@ -365,8 +365,9 @@ def main(argv=None) -> int:
         return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: rerun with --simulate N for a Monte Carlo estimate",
-              file=sys.stderr)
+        if args.func is cmd_solve:
+            print("hint: rerun with --simulate N for a Monte Carlo estimate",
+                  file=sys.stderr)
         return 3
     except (SingularSystem, NonConvergence, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegeneratePolicy, OutOfRange, ValidationError
-from .network import Network
 from .optimize import minimize_scalar_grid
 
 
@@ -171,31 +170,6 @@ def asymmetric_equilibrium(p: float) -> GameSolution:
         return GameSolution(Regime.ASYM_HIGH_P, 1.0, 0.5, p)
     value = (4.0 / 3.0) * (1.0 - math.sqrt(p * (1.0 - p)))
     return GameSolution(Regime.ASYM_MID_P, asymmetric_q_mid(p), 0.5, value)
-
-
-def solve_game(net: Network, p: float, mode: str) -> GameSolution:
-    """Equilibrium of the first-to-home game played on `net`.
-
-    The signature accepts any network so richer games can slot in later,
-    but only the 3-node unit line with home at one end is actually solved;
-    anything else is rejected rather than half-built.
-    """
-    if mode not in ("symmetric", "asymmetric"):
-        raise ValidationError(f"unknown game mode {mode!r}")
-    ok = (
-        len(net.nodes) == 3
-        and len(net.arcs) == 2
-        and all(a.length == 1.0 for a in net.arcs)
-        and net.degree(net.home) == 1
-    )
-    if not ok:
-        raise ValidationError(
-            "the first-to-home game is solved only on the 3-node unit line "
-            "with home at one end"
-        )
-    if mode == "symmetric":
-        return symmetric_equilibrium(p)
-    return asymmetric_equilibrium(p)
 
 
 def best_response(

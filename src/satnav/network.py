@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -43,8 +44,9 @@ class Arc:
 class Network:
     """Validated, immutable multigraph with a home node.
 
-    Raises ValidationError on self-loops, nonpositive lengths, duplicate
-    arc ids, disconnected graphs, or a home node with no incident arc.
+    Raises ValidationError on self-loops, lengths that are not finite and
+    positive, duplicate arc ids, disconnected graphs, or a home node with no
+    incident arc.
     A home that is a cut node is legal but unusual, so it draws a warning.
     """
 
@@ -52,9 +54,10 @@ class Network:
         arcs = tuple(arcs)
         seen_ids = set()
         for a in arcs:
-            if a.length <= 0:
+            if not (math.isfinite(a.length) and a.length > 0):
                 raise ValidationError(
-                    f"arc {a.arc_id!r} has nonpositive length {a.length}"
+                    f"arc {a.arc_id!r} has length {a.length}; lengths must be "
+                    "finite and positive"
                 )
             if a.u == a.v:
                 raise ValidationError(f"arc {a.arc_id!r} is a self-loop at {a.u!r}")

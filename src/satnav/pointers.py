@@ -60,18 +60,12 @@ class CompiledNetwork:
         self.nonhome = np.delete(np.arange(len(net.nodes)), self.home)
         self.col = np.full(len(net.nodes), len(self.nonhome))
         self.col[self.nonhome] = np.arange(len(self.nonhome))
-        self.nonhome_rows = self.row_start[self.nonhome]
-        self.branch_col = self.col[self.branch]
         self.last_steps = None  # (policy, StepTable) of the latest policy
 
     def slots_of(self, d: DirectionVector) -> np.ndarray:
         """Pointer slot per branch node, in `branch` order."""
         return np.array([self.arc_ids[i].index(d.pointer[self.nodes[i]])
                          for i in self.branch], dtype=np.int64)
-
-    def pointers_at(self, slots) -> dict[str, str]:
-        return {self.nodes[i]: self.arc_ids[i][s]
-                for i, s in zip(self.branch, np.asarray(slots).tolist())}
 
 
 def compile_network(net: Network) -> CompiledNetwork:
@@ -97,7 +91,9 @@ class WeightedDirectionSpace(Sequence):
         return len(self.weights)
 
     def __getitem__(self, k: int) -> tuple[DirectionVector, float]:
-        pointer = self.form.pointers_at(self.slots[k])
+        form = self.form
+        pointer = {form.nodes[i]: form.arc_ids[i][s]
+                   for i, s in zip(form.branch, self.slots[k].tolist())}
         return DirectionVector(pointer), float(self.weights[k])
 
     @property
@@ -199,21 +195,17 @@ class StepTable:
 
     @cached_property
     def cum(self) -> np.ndarray:
-        """The walker's cum[node, pointer, slot]: cumulative `probs`, 1.0
-        from each node's last slot on."""
-        form = self.form
-        flat = np.cumsum(self.probs, axis=1)
-        last = np.array(form.degree)[form.row_node] - 1
-        flat[np.arange(flat.shape[1]) >= last[:, None]] = 1.0
-        cum = np.ones((len(form.nodes),) + 2 * (flat.shape[1],))
-        pointer = np.arange(len(flat)) - form.row_start[form.row_node]
-        cum[form.row_node, pointer] = flat
+        """The walker's cumulative `probs`: 1.0 from each row's last slot on."""
+        cum = np.cumsum(self.probs, axis=1)
+        last = np.array(self.form.degree)[self.form.row_node] - 1
+        cum[np.arange(cum.shape[1]) >= last[:, None]] = 1.0
         return cum
 
     @cached_property
     def system(self) -> tuple[np.ndarray, np.ndarray]:
         """Per table row, its row of I - P over the non-home nodes and the
-        expected length of one step; slots add in order, as arcs would."""
+        expected length of one step; slots add in order, as arcs would.
+        An identity row of length 0 per non-home node follows the table."""
         form, every = self.form, np.arange(len(self.probs))
         rows = np.zeros((len(every), len(form.nonhome) + 1))
         rows[every, form.col[form.row_node]] = 1.0
@@ -222,29 +214,38 @@ class StepTable:
         for s in range(self.probs.shape[1]):
             rhs += self.probs[:, s] * alen[:, s]
             rows[every, dcol[:, s]] -= self.probs[:, s]
-        return rows[:, :-1], rhs
+        return (np.vstack([rows[:, :-1], np.eye(len(form.nonhome))]),
+                np.concatenate([rhs, np.zeros(len(form.nonhome))]))
 
-    def row_ids(self, slots) -> np.ndarray:
-        """The table row of every non-home node under one direction."""
-        rid = self.form.nonhome_rows.copy()
-        rid[self.form.branch_col] += slots
-        return rid
+    def gather(self, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per direction (row of `slots`): I - P over all non-home nodes, the
+        one-step lengths, and the mask of finite expected times. A node of
+        infinite time gets its identity row; no finite node steps to it."""
+        form = self.form
+        rid = np.tile(form.row_start[form.nonhome], (len(slots), 1))
+        rid[:, form.col[form.branch]] += slots
+        keys, first, inverse = np.unique(slots[:, self.sharp], axis=0,
+                                         return_index=True, return_inverse=True)
+        finite = np.array([self.finite(key, rid[k]) for key, k
+                           in zip(map(tuple, keys.tolist()), first)])[inverse]
+        rid[~finite] = len(self.probs) + np.nonzero(~finite)[1]
+        rows, rhs = self.system
+        return rows[rid], rhs[rid], finite
 
-    def finite(self, slots) -> np.ndarray | None:
-        """Mask of the non-home nodes with finite expected time under one
-        direction, None when all are; once per pattern of impossible steps,
-        and there is one pattern when no trust is 0 or 1."""
-        key = tuple(np.asarray(slots)[self.sharp].tolist()) if self.sharp else ()
+    def finite(self, key: tuple, rid) -> np.ndarray:
+        """Mask of the non-home nodes with finite expected time when they
+        step by table rows `rid`; kept per `key`, the pointers at the nodes
+        of trust 0 or 1, so there is one pattern when no trust is 0 or 1."""
         if key not in self._finite:
             form = self.form
-            k, s = np.nonzero(self.probs[self.row_ids(slots)] > 0.0)
+            k, s = np.nonzero(self.probs[rid] > 0.0)
             reach = np.eye(len(form.nodes), dtype=bool)
             reach[form.nonhome[k], form.dest[form.nonhome[k], s]] = True
             for _ in range(len(form.nodes).bit_length()):
                 reach = reach @ reach  # then reach[v, w]: w reachable from v
             # lost: can reach a node from which home is unreachable
-            finite = ~(reach & ~reach[:, form.home]).any(axis=1)[form.nonhome]
-            self._finite[key] = None if finite.all() else finite
+            lost = (reach & ~reach[:, form.home]).any(axis=1)
+            self._finite[key] = ~lost[form.nonhome]
         return self._finite[key]
 
 

@@ -4,13 +4,13 @@ For one direction vector the walk is a Markov chain on the nodes with home
 absorbing: at a branch node the pointer arc is taken with the trust
 probability, every other incident arc uniformly otherwise; a leaf reflects.
 Expected hitting times solve a dense linear system per direction vector,
-gathered from the step table's rows of I - P, and are then averaged with
-the direction-space weights.
+gathered from the step table's rows of I - P, one stacked solve per block
+of directions, and are then averaged with the direction-space weights.
 
 Nodes from which the induced chain cannot reach home -- or that can wander
 into a region that cannot -- have infinite expected time. They are found by
-reachability analysis before solving, so cycling pointer configurations are
-exact infinities rather than solver blow-ups.
+reachability analysis before solving and get identity rows, so cycling
+pointer configurations are exact infinities rather than solver blow-ups.
 
 A vectorized Monte Carlo walker provides an independent check on all of the
 exact machinery.
@@ -36,6 +36,8 @@ from .pointers import (
     sample_pointer_slots,
     step_table,
 )
+
+BLOCK = 1024  # directions per stacked solve in expected_profile
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -91,7 +93,7 @@ class TimeProfile:
 
     @cached_property
     def time(self) -> dict[str, float]:
-        return dict(zip(self.nodes, self.times.tolist()))
+        return dict(zip(self.nodes, self.times.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -122,28 +124,23 @@ def hitting_times_for_direction(
 ) -> TimeProfile:
     """Solve T(v) = sum_a P(a) (len(a) + T(other end)), T(home) = 0.
 
-    `d` is a DirectionVector or one row of a direction space's pointer
-    slots. Nodes whose walk has positive probability of never reaching home
-    get +inf; the linear system is restricted to the rest.
+    `d` is a DirectionVector, one row of a direction space's pointer slots,
+    or a 2-D block of such rows; a block is one stacked solve, and `times`
+    then holds one row per direction. Nodes whose walk has positive
+    probability of never reaching home get +inf.
     """
     form = compile_network(net)
-    steps = step_table(net, policy)
-    slots = form.slots_of(d) if isinstance(d, DirectionVector) else d
-    rows, rhs = steps.system
-    rid, solved, finite = steps.row_ids(slots), form.nonhome, steps.finite(slots)
-    times = np.zeros(len(form.nodes))
-    if finite is not None:
-        times[solved[~finite]] = math.inf
-        rows, solved, rid = rows[:, finite], solved[finite], rid[finite]
-    if len(rid):
-        try:
-            times[solved] = np.linalg.solve(rows[rid], rhs[rid])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                "hitting-time system singular for pointers "
-                f"{form.pointers_at(slots)}: {exc}"
-            ) from None
-    return TimeProfile(form.nodes, times)
+    slots = form.slots_of(d) if isinstance(d, DirectionVector) else np.asarray(d)
+    block = np.atleast_2d(slots)
+    rows, rhs, finite = step_table(net, policy).gather(block)
+    try:
+        solved = np.linalg.solve(rows, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"hitting-time system singular in a block of "
+                             f"{len(block)} directions: {exc}") from None
+    times = np.zeros((len(block), len(form.nodes)))
+    times[:, form.nonhome] = np.where(finite, solved, math.inf)
+    return TimeProfile(form.nodes, times.reshape(slots.shape[:-1] + (-1,)))
 
 
 def profile_residual(
@@ -178,11 +175,12 @@ def expected_profile(
     step_table(net, policy)
     if space is None:
         space = enumerate_direction_space(net, p=p, cap=cap)
+    kept = np.flatnonzero(space.weights)
     total = np.zeros(len(net.nodes))
-    for slots, weight in zip(space.slots, space.weights.tolist()):
-        if weight == 0.0:
-            continue
-        total += weight * hitting_times_for_direction(net, slots, policy).times
+    for ids in np.split(kept, range(BLOCK, len(kept), BLOCK)):
+        times = hitting_times_for_direction(net, space.slots[ids], policy).times
+        # rows add to the total one after another, in direction order
+        total = np.vstack([total, space.weights[ids, None] * times]).sum(axis=0)
     return dict(zip(net.nodes, total.tolist()))
 
 
@@ -267,7 +265,7 @@ def simulate(
         hit_times.append(np.zeros(n_walks - len(pos)))
 
     while len(pos) > 0:
-        cum = steps.cum[pos, ptr[walk_id, pos]]
+        cum = steps.cum[form.row_start[pos] + ptr[walk_id, pos]]
         slot = (rng.random((len(pos), 1)) > cum).sum(axis=1)
         times = times + form.alen[pos, slot]
         pos = form.dest[pos, slot]

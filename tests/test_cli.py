@@ -92,6 +92,26 @@ def test_solve_cap_exceeded_suggests_simulation(capsys):
     assert "--simulate" in err
 
 
+def test_optimize_cap_exceeded_gives_no_simulate_hint(capsys):
+    # optimize has no --simulate flag to suggest
+    code, _, err = run_cli(capsys, "optimize", "--fixture", "tree",
+                           "--p", "0.5", "--start", "B", "--cap", "2")
+    assert code == 3
+    assert "enumeration cap" in err
+    assert "--simulate" not in err
+
+
+@pytest.mark.parametrize("length", ["nan", "inf"])
+def test_solve_non_finite_arc_length_exits_two(tmp_path, capsys, length):
+    path = tmp_path / "net.txt"
+    path.write_text(f"home H\narc a H A {length}\n")
+    code, out, err = run_cli(capsys, "solve", "--net", str(path),
+                             "--p", "0.5", "--q", "0.5", "--start", "A")
+    assert code == 2
+    assert "finite and positive" in err
+    assert out == ""
+
+
 def test_solve_over_cap_with_simulation_leaves_time_empty(capsys):
     code, out, err = run_cli(capsys, "solve", "--fixture", "tree",
                              "--p", "0.5", "--q", "0.5", "--start", "B",

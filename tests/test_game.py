@@ -19,11 +19,9 @@ from satnav import (
     best_response_curves,
     evaluate_payoff,
     simulate_game,
-    solve_game,
     symmetric_equilibrium,
     symmetric_payoff,
 )
-from satnav import fixtures as fx
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -186,24 +184,6 @@ def test_asymmetric_degenerate_pairs():
         asymmetric_payoff(0.5, 1.0, 1.0)
     assert asymmetric_payoff(1.0, 1.0, 1.0) == 1.0
     assert asymmetric_payoff(0.0, 0.0, 0.0) == 1.0
-
-
-def test_solve_game_on_three_node_line():
-    net = fx.line(2)
-    sol = solve_game(net, 2 / 3, "symmetric")
-    assert sol.q_star == pytest.approx(math.sqrt(3) - 1, abs=1e-9)
-    assert solve_game(net, 0.9, "asymmetric").value == 0.9
-
-
-def test_solve_game_rejects_other_networks():
-    from satnav import build_network
-
-    for bad in (fx.tree(), fx.cycle(3), fx.line(3),
-                build_network("2", [("a", "0", "1", 1), ("b", "1", "2", 2)])):
-        with pytest.raises(ValidationError, match="3-node"):
-            solve_game(bad, 0.7, "asymmetric")
-    with pytest.raises(ValidationError):
-        solve_game(fx.line(2), 0.7, "bogus")
 
 
 # ------------------------------------------------------- response curves

@@ -39,6 +39,12 @@ def test_negative_length_rejected():
         build_network("H", [("IH", "I", "H", -2)])
 
 
+@pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+def test_non_finite_length_rejected(length):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        build_network("H", [("IH", "I", "H", length)])
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValidationError, match="self-loop"):
         build_network("H", [("HH", "H", "H", 1), ("IH", "I", "H", 1)])
@@ -220,6 +226,11 @@ def test_json_format():
         "home H\narc e A H\n",                 # missing field
         '{"arcs": []}',                        # JSON missing home
         '{"home": "H", "arcs": [{"id": "e"}]}',  # JSON missing arc fields
+        "home H\narc e A H nan\n",             # non-finite lengths
+        "home H\narc e A H inf\n",
+        '{"home": "H", "arcs": [{"id": "e", "u": "A", "v": "H", "length": NaN}]}',
+        '{"home": "H", "arcs": [{"id": "e", "u": "A", "v": "H", '
+        '"length": Infinity}]}',
     ],
 )
 def test_bad_descriptions_rejected(text):

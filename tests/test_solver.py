@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from satnav import (
     build_network,
     classify,
     enumerate_direction_space,
+    expected_profile,
     expected_time,
     expected_time_between,
     hitting_times_for_direction,
@@ -24,7 +26,7 @@ from satnav import (
     step_distribution,
 )
 from satnav import fixtures as fx
-from satnav.solver import profile_residual
+from satnav.solver import BLOCK, profile_residual
 from conftest import small_networks
 
 D1 = DirectionVector({"A": "AB", "B": "BC"})  # triangle: both pointers correct
@@ -76,6 +78,48 @@ def test_forced_path():
     net = build_network("H", [("IH", "I", "H", 5)])
     profile = hitting_times_for_direction(net, DirectionVector({}), Uniform(0.4))
     assert profile.time["I"] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("name, policy", [
+    ("spike", ByDegree({2: 1.0, 3: 0.55})),  # A's pointer: 2 step patterns
+    ("triangle", Uniform(0.0)),  # pointers at home strand both nodes
+])
+def test_block_rows_equal_single_direction_solves(name, policy):
+    net = fx.fixture(name)
+    space = enumerate_direction_space(net, p=0.5)
+    profile = hitting_times_for_direction(net, space.slots, policy)
+    block = profile.times
+    assert block.shape == (len(space), len(net.nodes))
+    assert profile.time[net.nodes[0]] == block[:, 0].tolist()
+    for k, (d, _) in enumerate(space):
+        single = hitting_times_for_direction(net, d, policy).times
+        assert block[k].tolist() == single.tolist()
+    if name == "triangle":
+        assert np.isinf(block).any() and np.isfinite(block[:, :2]).any()
+
+
+def grid3x3():
+    """3x3 grid, home at a corner, arc lengths 1..3: 2,592 directions."""
+    arcs = []
+    for i in range(3):
+        for j in range(3):
+            if j < 2:
+                arcs.append((f"h{i}{j}", f"r{i}c{j}", f"r{i}c{j + 1}",
+                             1 + (i + 2 * j) % 3))
+            if i < 2:
+                arcs.append((f"v{i}{j}", f"r{i}c{j}", f"r{i + 1}c{j}",
+                             1 + (2 * i + j) % 3))
+    return build_network("r0c0", arcs)
+
+
+def test_expected_profile_is_the_in_order_sum_of_single_solves():
+    net, p, policy = grid3x3(), 0.75, Uniform(0.6)
+    space = enumerate_direction_space(net, p=p)
+    assert len(space) == 2_592 > BLOCK
+    total = np.zeros(len(net.nodes))
+    for slots, weight in zip(space.slots, space.weights):
+        total += weight * hitting_times_for_direction(net, slots, policy).times
+    assert list(expected_profile(net, p, policy).values()) == total.tolist()
 
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
