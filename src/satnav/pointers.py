@@ -163,14 +163,19 @@ def enumerate_direction_space(
 def sample_pointer_slots(net: Network, spd: ShortestPathData, p: float,
                          n: int, rng: np.random.Generator) -> np.ndarray:
     """`n` independent direction vectors as the pointer slot per (draw,
-    node), zero off the branch nodes; branch nodes draw in sorted order."""
+    node), zero off the branch nodes; branch nodes draw in sorted order.
+
+    A uniform u picks the number of cumulative pointer probabilities at or
+    below it; the last one is left out, as if it were 1.0, since u < 1.
+    Slots come in the smallest unsigned dtype that holds the top degree.
+    """
     mu = pointer_table(net, spd, p)
     form = compile_network(net)
-    ptr = np.zeros((n, len(form.nodes)), dtype=np.int64)
+    ptr = np.zeros((n, len(form.nodes)), dtype=np.min_scalar_type(max(form.degree)))
     for i in form.branch:
-        cum_mu = np.cumsum(mu[i, :form.degree[i]])
-        cum_mu[-1] = 1.0
-        ptr[:, i] = np.searchsorted(cum_mu, rng.random(n), side="right")
+        u = rng.random(n)
+        for c in np.cumsum(mu[i, :form.degree[i] - 1]):
+            ptr[:, i] += u >= c
     return ptr
 
 

@@ -232,12 +232,15 @@ def simulate(
     """Monte Carlo estimate of expected_time.
 
     Each walk draws one direction vector, then walks by the step
-    distribution until home or until the accumulated time exceeds
-    `max_time` (default 1e4 x distance(start)). Censored walks are
-    excluded from the mean and counted, never silently truncated.
+    distribution until home or until the accumulated time reaches
+    `max_time` (default 1e4 x distance(start); it must be finite and
+    positive). Censored walks are excluded from the mean and counted,
+    never silently truncated. `seed` must be non-negative.
     """
     if n_walks < 1:
         raise ValidationError("n_walks must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed={seed} must be non-negative")
     steps = step_table(net, policy)
     if start not in net.nodes:
         raise ValidationError(f"unknown start node {start!r}")
@@ -245,30 +248,42 @@ def simulate(
     spd = shortest_paths(net)
     if max_time is None:
         max_time = 1e4 * max(spd.distance[start], 1.0)
-    if max_time <= 0:
-        raise ValidationError("max_time must be positive")
+    if not (math.isfinite(max_time) and max_time > 0):
+        raise ValidationError(f"max_time={max_time} must be finite and positive")
     rng = np.random.default_rng(seed)
 
     form = compile_network(net)
-    # one pointer slot per (walk, node); only branch columns are consulted
-    ptr = sample_pointer_slots(net, spd, p, n_walks, rng)
+    # the table row of every (walk, node) under the walk's drawn pointers,
+    # walk after walk: walk w at node i reads rows[w * n_nodes + i]
+    n_nodes, width = len(form.nodes), steps.cum.shape[1]
+    rows = (sample_pointer_slots(net, spd, p, n_walks, rng)
+            + form.row_start.astype(np.min_scalar_type(len(form.row_node) - 1))
+            ).ravel()
+    # entry row * width + s: where slot s of that row's node leads, and its length
+    row_dest = form.dest[form.row_node].astype(np.int32).ravel()
+    row_len = form.alen[form.row_node].ravel()
 
-    pos = np.full(n_walks, form.index[start], dtype=np.int64)
+    pos = np.full(n_walks, form.index[start], dtype=np.int32)
     times = np.zeros(n_walks)
-    walk_id = np.arange(n_walks)
+    at = np.arange(0, n_walks * n_nodes, n_nodes)
     hit_times: list[np.ndarray] = []
     censored = 0
 
     active = pos != form.home
-    pos, times, walk_id = pos[active], times[active], walk_id[active]
+    pos, times, at = pos[active], times[active], at[active]
     if n_walks - len(pos) > 0:
         hit_times.append(np.zeros(n_walks - len(pos)))
 
     while len(pos) > 0:
-        cum = steps.cum[form.row_start[pos] + ptr[walk_id, pos]]
-        slot = (rng.random((len(pos), 1)) > cum).sum(axis=1)
-        times = times + form.alen[pos, slot]
-        pos = form.dest[pos, slot]
+        u = rng.random(len(pos))
+        row = rows[at + pos].astype(np.intp)
+        # the slot is the number of cumulative step chances below u; the
+        # last column of a row is 1.0, and u < 1, so it is never compared
+        k = row * width
+        for threshold in steps.cum.T[:-1]:
+            k += u > threshold[row]
+        times += row_len[k]
+        pos = row_dest[k]
         done = pos == form.home
         if done.any():
             hit_times.append(times[done])
@@ -276,7 +291,7 @@ def simulate(
         over = keep & (times >= max_time)
         censored += int(over.sum())
         keep &= ~over
-        pos, times, walk_id = pos[keep], times[keep], walk_id[keep]
+        pos, times, at = pos[keep], times[keep], at[keep]
 
     finished = np.concatenate(hit_times) if hit_times else np.array([])
     if len(finished) == 0:

@@ -159,6 +159,26 @@ def test_solve_blocked_policy_reports_inf_and_censoring(capsys):
     assert int(data[0][7]) > 0
 
 
+@pytest.mark.parametrize("max_time", ["nan", "inf"])
+def test_solve_non_finite_max_time_exits_two(capsys, max_time):
+    # a trapped walk is never censored at a horizon of nan or inf
+    code, out, err = run_cli(capsys, "solve", "--fixture", "triangle",
+                             "--p", "0.75", "--q", "1", "--start", "A",
+                             "--simulate", "100", "--max-time", max_time)
+    assert code == 2
+    assert "max_time" in err
+    assert out == ""
+
+
+def test_solve_negative_seed_exits_two(capsys):
+    code, out, err = run_cli(capsys, "solve", "--fixture", "triangle",
+                             "--p", "0.75", "--q", "0.5", "--start", "A",
+                             "--simulate", "100", "--seed", "-1")
+    assert code == 2
+    assert "seed" in err
+    assert out == ""
+
+
 def test_outputs_are_reproducible(capsys):
     args = ("solve", "--fixture", "triangle", "--p", "0.75", "--q", "0.68",
             "--start", "A", "--simulate", "5000", "--seed", "11")

@@ -1,5 +1,6 @@
 """Direction-vector space: per-node distributions, enumeration, sampling."""
 
+import hashlib
 import itertools
 import math
 
@@ -148,3 +149,16 @@ def test_sampling_matches_enumeration(spike):
     observed = np.array([counts[k] for k in keys])
     result = stats.chisquare(observed, expected)
     assert result.pvalue > 1e-3
+
+
+def test_sampled_slots_are_narrow_and_unchanged(spike):
+    # the draw of test_sampling_matches_enumeration, slot for slot
+    spd = shortest_paths(spike)
+    rng = np.random.default_rng(20240817)
+    ptr = sample_pointer_slots(spike, spd, 0.65, 100_000, rng)
+    assert ptr.dtype == np.uint8
+    assert ptr[:8].tolist() == [[0, 0, 2], [0, 0, 2], [0, 0, 0], [0, 0, 2],
+                                [1, 0, 2], [1, 0, 0], [1, 0, 2], [1, 0, 2]]
+    digest = hashlib.sha256(ptr.astype(np.int64).tobytes()).hexdigest()
+    assert digest == ("e9500c2d0b0760d329b4ad8ecfa4acad"
+                      "dba1f0435b345aea12cca0214a1913a2")

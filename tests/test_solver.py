@@ -226,6 +226,40 @@ def test_simulate_deterministic(tree):
     assert a == b
 
 
+CACTUS3 = [("t1a", "a0", "x1", 1), ("t1b", "x1", "a1", 2), ("t1c", "a0", "a1", 3),
+           ("t2a", "a1", "x2", 2), ("t2b", "x2", "a2", 1), ("t2c", "a1", "a2", 1),
+           ("t3a", "a2", "x3", 3), ("t3b", "x3", "a3", 1), ("t3c", "a2", "a3", 2)]
+
+
+@pytest.mark.parametrize("net,p,policy,start,n,max_time,seed,want", [
+    (fx.cycle(4), 0.75, Uniform(0.6), "C", 5000, None, 11,
+     "SimulationResult(mean=3.7024, std_error=0.03691502934955322, "
+     "censored=0, n_walks=5000, seed=11)"),
+    (fx.spike(), 0.7, ByDegree({2: 1.0, 3: 0.55051}), "A", 5000, None, 3,
+     "SimulationResult(mean=6.814, std_error=0.1082477912793761, "
+     "censored=0, n_walks=5000, seed=3)"),
+    (build_network("a0", CACTUS3), 0.75, ByDegree({2: 0.7, 4: 0.5}), "a3",
+     20000, None, 5,
+     "SimulationResult(mean=23.6176, std_error=0.17397103726796137, "
+     "censored=0, n_walks=20000, seed=5)"),
+    (build_network("a0", CACTUS3), 0.75, ByDegree({2: 0.7, 4: 0.5}), "a1",
+     20000, None, 5,
+     "SimulationResult(mean=13.0153, std_error=0.14865538408231582, "
+     "censored=0, n_walks=20000, seed=5)"),
+    (fx.triangle(), 0.75, Uniform(1.0), "A", 2000, 20, 9,
+     "SimulationResult(mean=2.2988147223955084, std_error=0.01143631566117885, "
+     "censored=397, n_walks=2000, seed=9)"),
+    (fx.tree(), 0.75, Uniform(0.6), "H", 1000, None, 0,
+     "SimulationResult(mean=0.0, std_error=0.0, censored=0, n_walks=1000, "
+     "seed=0)"),
+], ids=["c4", "spike-bydegree", "cactus3-a3", "cactus3-degree4", "triangle-censored",
+        "tree-at-home"])
+def test_simulate_pinned_draws(net, p, policy, start, n, max_time, seed, want):
+    # every digit: the walker's draws, their order and its summation order
+    sim = simulate(net, p, policy, start, n, max_time=max_time, seed=seed)
+    assert repr(sim) == want
+
+
 def test_simulate_perfect_information(tree):
     sim = simulate(tree, 1.0, Uniform(1.0), "A", 2000, seed=5)
     assert sim.mean == pytest.approx(2.0)
@@ -246,6 +280,11 @@ def test_simulate_validates(triangle):
         simulate(triangle, 0.75, Uniform(0.5), "A", 0)
     with pytest.raises(ValidationError):
         simulate(triangle, 1.5, Uniform(0.5), "A", 10)
+    for max_time in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="max_time"):
+            simulate(triangle, 0.75, Uniform(1.0), "A", 10, max_time=max_time)
+    with pytest.raises(ValidationError, match="seed"):
+        simulate(triangle, 0.75, Uniform(0.5), "A", 10, seed=-1)
 
 
 def test_policy_validation(triangle, spike):
