@@ -29,10 +29,8 @@ from .network import (
     shortest_paths,
 )
 from .pointers import (
-    DirectionVector,
     WeightedDirectionSpace,
     enumerate_direction_space,
-    node_pointer_distribution,
     sample_pointer_slots,
 )
 from .solver import (
@@ -46,7 +44,6 @@ from .solver import (
     expected_time_between,
     hitting_times_for_direction,
     simulate,
-    step_distribution,
 )
 from .closed_form import (
     BridgeSpec,

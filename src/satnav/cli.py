@@ -97,6 +97,14 @@ def _policy_from_args(args) -> TrustPolicy:
     raise ValidationError("no trust given: use --q or --q2/--q3/...")
 
 
+def count(text: str) -> int:
+    """The argparse type of a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    return value
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         lo, hi, step = (float(part) for part in text.split(":"))
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(f"--q{k}", type=float, help=f"trust at degree-{k} nodes")
     sp.add_argument("--start", required=True)
     sp.add_argument("--to", help="target node (default: home)")
-    sp.add_argument("--simulate", type=int, metavar="N_WALKS",
+    sp.add_argument("--simulate", type=count, metavar="N_WALKS",
                     help="append a Monte Carlo estimate")
     sp.add_argument("--max-time", type=float, help="censoring horizon")
     sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("line", help="crossing times along a line")
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--max-j", type=int, default=6)
+    sp.add_argument("--max-j", type=count, default=6)
     sp.add_argument("--q", type=float,
                     help="trust (default: the optimal trust for --p)")
     sp.add_argument("--lengths", help="comma-separated arc lengths "
@@ -337,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--p", type=float)
     sp.add_argument("--curve", metavar="LO:HI:STEP")
-    sp.add_argument("--responses", type=int, metavar="N",
+    sp.add_argument("--responses", type=count, metavar="N",
                     help="emit best-response curves on an N-point grid")
     add_common(sp)
     sp.set_defaults(func=cmd_game)

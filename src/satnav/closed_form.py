@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotATree, ValidationError
+from .errors import NotATree, ValidationError, check_probability
 from .network import Arc, Network, classify
 from .solver import ByDegree
 
@@ -177,8 +177,7 @@ def unit_line_cross_time(j: int, p: float) -> float:
     """
     if j < 0:
         raise ValidationError(f"node index j={j} must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"reliability p={p} outside [0, 1]")
+    check_probability("reliability p", p)
     if p == 0.5:
         return float(j * j)
     z = 2.0 * math.sqrt(p * (1.0 - p))

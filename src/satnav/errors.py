@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the probability check
+that raises the commonest one.
 
 Collected here so the CLI can map them onto exit codes in one place.
 """
@@ -41,3 +42,10 @@ class DegeneratePolicy(SatnavError):
 class OutOfRange(SatnavError):
     """A parameter is outside the range where the requested solution is
     defined."""
+
+
+def check_probability(name: str, value: float) -> float:
+    """`value` as a float; ValidationError unless it lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name}={value} outside [0, 1]")
+    return float(value)

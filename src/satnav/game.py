@@ -17,8 +17,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegeneratePolicy, OutOfRange, ValidationError
+from .errors import (DegeneratePolicy, OutOfRange, ValidationError,
+                     check_probability)
 from .optimize import minimize_scalar_grid
+
+RESPONSE_TOL = 1e-6  # golden-section bracket of a best response
+MAX_ROUNDS = 10_000  # time steps before simulate_game gives up on a play
 
 
 class Regime(enum.Enum):
@@ -62,12 +66,6 @@ class GameSimulation:
     seed: int
 
 
-def _check_prob(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name}={value} outside [0, 1]")
-    return float(value)
-
-
 def symmetric_payoff(p: float, q: float, r: float) -> float:
     """P(player I wins) when both start at node 1.
 
@@ -77,9 +75,9 @@ def symmetric_payoff(p: float, q: float, r: float) -> float:
     (1, 1) the wrong-pointer play, so those pairs have no value unless the
     offending component has zero weight.
     """
-    _check_prob("reliability p", p)
-    _check_prob("trust q", q)
-    _check_prob("trust r", r)
+    check_probability("reliability p", p)
+    check_probability("trust q", q)
+    check_probability("trust r", r)
     v = 0.0
     if p > 0.0:
         denom = 2.0 * (q + r - q * r)
@@ -105,9 +103,9 @@ def asymmetric_payoff(p: float, q: float, r: float) -> float:
     steps home with probability q (or r) if the pointer is correct, else
     1 - q (or 1 - r), player I tossing first.
     """
-    _check_prob("reliability p", p)
-    _check_prob("trust q", q)
-    _check_prob("trust r", r)
+    check_probability("reliability p", p)
+    check_probability("trust q", q)
+    check_probability("trust r", r)
     v = 0.0
     if p > 0.0:
         denom = q + r - q * r
@@ -172,9 +170,7 @@ def asymmetric_equilibrium(p: float) -> GameSolution:
     return GameSolution(Regime.ASYM_MID_P, asymmetric_q_mid(p), 0.5, value)
 
 
-def best_response(
-    p: float, mode: str, player: str, opponent: float, tol: float = 1e-6
-) -> float:
+def best_response(p: float, mode: str, player: str, opponent: float) -> float:
     """One player's payoff-optimal trust against a fixed opponent trust.
 
     `player` is "I" (maximizes the payoff over q) or "II" (minimizes it
@@ -190,7 +186,7 @@ def best_response(
         f = lambda r: payoff(p, opponent, r)
     else:
         raise ValidationError(f"unknown player {player!r}")
-    x, _, _ = minimize_scalar_grid(f, 0.0, 1.0, grid_points=101, tol=tol)
+    x, _, _ = minimize_scalar_grid(f, 0.0, 1.0, tol=RESPONSE_TOL)
     return x
 
 
@@ -202,15 +198,14 @@ def _payoff_fn(mode: str):
     raise ValidationError(f"unknown game mode {mode!r}")
 
 
-def best_response_curves(
-    p: float, mode: str, grid: Iterable[float], tol: float = 1e-6
-) -> ResponseCurves:
+def best_response_curves(p: float, mode: str,
+                         grid: Iterable[float]) -> ResponseCurves:
     """Both reply curves over an interior grid of opponent trusts."""
     pts = tuple(float(g) for g in grid)
     if any(not 0.0 < g < 1.0 for g in pts):
         raise ValidationError("response grid must lie strictly in (0, 1)")
-    best_r = tuple(best_response(p, mode, "II", g, tol) for g in pts)
-    best_q = tuple(best_response(p, mode, "I", g, tol) for g in pts)
+    best_r = tuple(best_response(p, mode, "II", g) for g in pts)
+    best_q = tuple(best_response(p, mode, "I", g) for g in pts)
     return ResponseCurves(p, mode, pts, best_r, pts, best_q)
 
 
@@ -221,19 +216,20 @@ def simulate_game(
     mode: str,
     n_plays: int,
     seed: int = 0,
-    max_rounds: int = 10_000,
 ) -> GameSimulation:
     """Play the game move by move and estimate P(player I wins).
 
     The shared pointer is drawn once per play. Symmetric plays move both
     players each time step and settle simultaneous arrivals with a fair
     coin; asymmetric plays alternate I-then-II, where a tie is structurally
-    impossible (the simulator asserts it).
+    impossible (the simulator asserts it). `seed` must be non-negative.
     """
     payoff = _payoff_fn(mode)  # validates mode; also raises on degenerate q, r
     payoff(p, q, r)
     if n_plays < 1:
         raise ValidationError("n_plays must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed={seed} must be non-negative")
     rng = np.random.default_rng(seed)
     correct = rng.random(n_plays) < p
     a = np.where(correct, q, 1.0 - q)  # P(I steps home per visit to node 1)
@@ -241,7 +237,7 @@ def simulate_game(
 
     wins = np.zeros(n_plays)
     active = np.ones(n_plays, dtype=bool)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if not active.any():
             break
         if mode == "symmetric":
@@ -261,7 +257,7 @@ def simulate_game(
     unresolved = int(active.sum())
     if unresolved:
         raise DegeneratePolicy(
-            f"{unresolved} plays unresolved after {max_rounds} rounds"
+            f"{unresolved} plays unresolved after {MAX_ROUNDS} rounds"
         )
     mean = float(wins.mean())
     se = math.sqrt(max(mean * (1.0 - mean), 0.0) / n_plays)

@@ -27,6 +27,8 @@ from .pointers import ENUMERATION_CAP, enumerate_direction_space
 from .solver import ByDegree, TrustPolicy, Uniform, expected_time
 
 EPS = 1e-4
+COORDINATE_TOL = 1e-6  # coordinate descent stops once no trust moves more
+MAX_SWEEPS = 100
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-12
 
@@ -121,14 +123,13 @@ def _refine_near(
     center: float,
     lo: float,
     hi: float,
-    tol: float,
-    window: float = 0.06,
 ) -> tuple[float, float, Diagnostics] | None:
-    """Warm-started local search; None when the window does not bracket a
-    minimum and the caller should fall back to the full grid."""
-    wlo = max(lo, center - window)
-    whi = min(hi, center + window)
-    x, fx, diag = minimize_scalar_grid(f, wlo, whi, grid_points=13, tol=tol)
+    """Warm-started local search within 0.06 of `center`; None when that
+    window does not bracket a minimum and the caller should fall back to
+    the full grid."""
+    wlo = max(lo, center - 0.06)
+    whi = min(hi, center + 0.06)
+    x, fx, diag = minimize_scalar_grid(f, wlo, whi, grid_points=13)
     interior = wlo + (whi - wlo) * 0.1 < x < whi - (whi - wlo) * 0.1
     return (x, fx, diag) if interior else None
 
@@ -138,8 +139,6 @@ def optimize_uniform(
     p: float,
     start: str,
     cap: int = ENUMERATION_CAP,
-    grid_points: int = 101,
-    tol: float = 1e-10,
     warm: float | None = None,
 ) -> OptimizationResult:
     """Minimize expected time to home over a single trust in [eps, 1-eps]."""
@@ -150,9 +149,9 @@ def optimize_uniform(
 
     found = None
     if warm is not None:
-        found = _refine_near(f, warm, EPS, 1.0 - EPS, tol)
+        found = _refine_near(f, warm, EPS, 1.0 - EPS)
     if found is None:
-        found = minimize_scalar_grid(f, EPS, 1.0 - EPS, grid_points, tol)
+        found = minimize_scalar_grid(f, EPS, 1.0 - EPS)
     q, value, diag = found
     return OptimizationResult(Uniform(q), value, start, diag)
 
@@ -162,10 +161,6 @@ def optimize_counting(
     p: float,
     start: str,
     cap: int = ENUMERATION_CAP,
-    grid_points: int = 101,
-    tol: float = 1e-10,
-    coordinate_tol: float = 1e-6,
-    max_sweeps: int = 100,
     warm: dict[int, float] | None = None,
 ) -> OptimizationResult:
     """Cyclic coordinate descent over the degree-indexed trust vector.
@@ -192,22 +187,18 @@ def optimize_counting(
         policy = ByDegree({**trusts, k: q})
         return expected_time(net, p, policy, start, space=space)
 
-    last_diag = Diagnostics(grid_points, 0, 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         largest_move = 0.0
         for k in degrees:
-            q, _, diag = minimize_scalar_grid(
-                lambda q: f_coord(k, q), 0.0, 1.0, grid_points, tol
-            )
+            q, _, diag = minimize_scalar_grid(lambda q: f_coord(k, q), 0.0, 1.0)
             largest_move = max(largest_move, abs(q - trusts[k]))
             trusts[k] = q
-            last_diag = diag
-        if largest_move < coordinate_tol:
+        if largest_move < COORDINATE_TOL:
             policy = ByDegree(dict(trusts))
             value = expected_time(net, p, policy, start, space=space)
-            return OptimizationResult(policy, value, start, last_diag)
+            return OptimizationResult(policy, value, start, diag)
     raise NonConvergence(
-        f"coordinate descent did not settle within {max_sweeps} sweeps"
+        f"coordinate descent did not settle within {MAX_SWEEPS} sweeps"
     )
 
 

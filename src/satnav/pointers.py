@@ -1,6 +1,10 @@
 """Direction vectors, their probability measure, and the compiled arrays
 that enumeration, the exact solver and the walker share.
 
+A direction vector is a row of pointer slots, one column per branch node
+in `CompiledNetwork.branch` order; slot s of a node is its s-th incident
+arc in the order the network lists them.
+
 At every branch node a pointer suggests one incident arc. With probability
 p (the reliability) the pointer picks uniformly among the arcs on a
 shortest path to home; otherwise it picks uniformly among the remaining
@@ -12,33 +16,26 @@ assignment and average afterwards, never re-randomizing per visit.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, check_probability
 from .network import Network, ShortestPathData, classify, shortest_paths
 
 ENUMERATION_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class DirectionVector:
-    """One pointer arc per branch node."""
-
-    pointer: Mapping[str, str]
-
-
 class CompiledNetwork:
     """A network as arrays; `compile_network` builds it once per network.
 
-    Slot s of node i leads to `dest[i, s]` over `alen[i, s]`. Table rows
-    from `row_start[i]` belong to node i: one per pointer slot at a branch
-    node, one elsewhere. `col` numbers the non-home nodes, the unknowns of
-    the hitting-time systems; home gets the spare column after them.
+    Slot s of node i leads to `dest[i, s]` over `alen[i, s]`. `branch`
+    lists the pointer sites in index order, `branch_degree` their degrees.
+    Table rows from `row_start[i]` belong to node i: one per pointer slot
+    at a branch node, one elsewhere. `col` numbers the non-home nodes, the
+    unknowns of the hitting-time systems; home gets the spare column after
+    them.
     """
 
     def __init__(self, net: Network):
@@ -54,6 +51,7 @@ class CompiledNetwork:
                 self.dest[i, s] = self.index[a.other(v)]
                 self.alen[i, s] = a.length
         self.branch = sorted(self.index[v] for v in classify(net).branch_nodes)
+        self.branch_degree = np.array(self.degree)[self.branch]
         n_rows = [d if i in self.branch else 1 for i, d in enumerate(self.degree)]
         self.row_start = np.cumsum([0] + n_rows[:-1])
         self.row_node = np.repeat(np.arange(len(net.nodes)), n_rows)
@@ -61,11 +59,6 @@ class CompiledNetwork:
         self.col = np.full(len(net.nodes), len(self.nonhome))
         self.col[self.nonhome] = np.arange(len(self.nonhome))
         self.last_steps = None  # (policy, StepTable) of the latest policy
-
-    def slots_of(self, d: DirectionVector) -> np.ndarray:
-        """Pointer slot per branch node, in `branch` order."""
-        return np.array([self.arc_ids[i].index(d.pointer[self.nodes[i]])
-                         for i in self.branch], dtype=np.int64)
 
 
 def compile_network(net: Network) -> CompiledNetwork:
@@ -76,11 +69,10 @@ def compile_network(net: Network) -> CompiledNetwork:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedDirectionSpace(Sequence):
-    """All direction vectors with their probabilities under reliability p:
-    row k of `slots` holds direction k's pointer slot per branch node
-    (`form.branch` order), `weights[k]` its probability. As a sequence it
-    yields (DirectionVector, weight) pairs, each built when read."""
+class WeightedDirectionSpace:
+    """All direction vectors of `form` with their probabilities under
+    reliability p: row k of `slots` is direction k, `weights[k]` its
+    probability."""
 
     form: CompiledNetwork
     slots: np.ndarray
@@ -90,14 +82,9 @@ class WeightedDirectionSpace(Sequence):
     def __len__(self) -> int:
         return len(self.weights)
 
-    def __getitem__(self, k: int) -> tuple[DirectionVector, float]:
-        form = self.form
-        pointer = {form.nodes[i]: form.arc_ids[i][s]
-                   for i, s in zip(form.branch, self.slots[k].tolist())}
-        return DirectionVector(pointer), float(self.weights[k])
-
     @property
     def entries(self) -> WeightedDirectionSpace:
+        """The space itself; perfbench counts directions by its length."""
         return self
 
 
@@ -107,8 +94,7 @@ def pointer_table(net: Network, spd: ShortestPathData, p: float) -> np.ndarray:
     Correct arcs share p, the rest share 1-p. When every incident arc is
     correct (tied shortest paths), the split is uniform and p plays no role.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"reliability p={p} outside [0, 1]")
+    check_probability("reliability p", p)
     form = compile_network(net)
     mu = np.zeros(form.alen.shape)
     for i in form.branch:
@@ -118,15 +104,6 @@ def pointer_table(net: Network, spd: ShortestPathData, p: float) -> np.ndarray:
                        p / n_good if g else (1.0 - p) / (deg - n_good)
                        for g in good]
     return mu
-
-
-def node_pointer_distribution(
-    net: Network, spd: ShortestPathData, v: str, p: float
-) -> dict[str, float]:
-    """Probability of each incident arc being the pointer at branch node `v`."""
-    form = compile_network(net)
-    i = form.index[v]
-    return dict(zip(form.arc_ids[i], pointer_table(net, spd, p)[i].tolist()))
 
 
 def enumerate_direction_space(
@@ -143,7 +120,7 @@ def enumerate_direction_space(
     """
     mu = pointer_table(net, shortest_paths(net) if spd is None else spd, p)
     form = compile_network(net)
-    degrees = [form.degree[i] for i in form.branch]
+    degrees = form.branch_degree.tolist()
     size = math.prod(degrees)
     if size > cap:
         raise CapExceeded(

@@ -25,11 +25,10 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import SingularSystem, ValidationError
+from .errors import SingularSystem, ValidationError, check_probability
 from .network import Network, shortest_paths
 from .pointers import (
     ENUMERATION_CAP,
-    DirectionVector,
     WeightedDirectionSpace,
     compile_network,
     enumerate_direction_space,
@@ -40,12 +39,6 @@ from .pointers import (
 BLOCK = 1024  # directions per stacked solve in expected_profile
 
 
-def _check_probability(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name}={value} outside [0, 1]")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class Uniform:
     """One trust probability at every branch node."""
@@ -53,7 +46,7 @@ class Uniform:
     q: float
 
     def __post_init__(self):
-        _check_probability("trust q", self.q)
+        check_probability("trust q", self.q)
 
     def trust_at(self, degree: int) -> float:
         return self.q
@@ -69,7 +62,7 @@ class ByDegree:
         # own copy, so later edits to the caller's dict cannot skip the checks
         object.__setattr__(self, "q_by_degree", dict(self.q_by_degree))
         for k, q in self.q_by_degree.items():
-            _check_probability(f"trust q_{k}", q)
+            check_probability(f"trust q_{k}", q)
 
     def trust_at(self, degree: int) -> float:
         try:
@@ -105,33 +98,25 @@ class SimulationResult:
     seed: int
 
 
-def step_distribution(
-    net: Network, d: DirectionVector, policy: TrustPolicy, v: str
-) -> dict[str, float]:
-    """Arc probabilities for one step from `v` (which must not be home)."""
-    if v == net.home:
-        raise ValidationError("no step is taken from the home node")
-    form = compile_network(net)
-    steps = step_table(net, policy)
-    i = form.index[v]
-    ptr = form.arc_ids[i].index(d.pointer[v]) if i in form.branch else 0
-    probs = steps.probs[form.row_start[i] + ptr]
-    return dict(zip(form.arc_ids[i], probs.tolist()))
-
-
 def hitting_times_for_direction(
-    net: Network, d: DirectionVector | np.ndarray, policy: TrustPolicy
+    net: Network, slots: np.ndarray, policy: TrustPolicy
 ) -> TimeProfile:
     """Solve T(v) = sum_a P(a) (len(a) + T(other end)), T(home) = 0.
 
-    `d` is a DirectionVector, one row of a direction space's pointer slots,
-    or a 2-D block of such rows; a block is one stacked solve, and `times`
-    then holds one row per direction. Nodes whose walk has positive
-    probability of never reaching home get +inf.
+    `slots` is one direction, a row of integer pointer slots in [0, degree)
+    with one column per branch node, or a 2-D block of such rows, solved as
+    one stack with one row of `times` per direction; other input raises
+    ValidationError. Nodes whose walk may never reach home get +inf.
     """
     form = compile_network(net)
-    slots = form.slots_of(d) if isinstance(d, DirectionVector) else np.asarray(d)
+    slots = np.asarray(slots)
     block = np.atleast_2d(slots)
+    if (slots.ndim not in (1, 2) or slots.shape[-1] != len(form.branch)
+            or not np.issubdtype(slots.dtype, np.integer)
+            or ((block < 0) | (block >= form.branch_degree)).any()):
+        raise ValidationError(
+            f"pointer slots of shape {slots.shape} and dtype {slots.dtype} are "
+            f"not rows of {len(form.branch)} integers in [0, degree)")
     rows, rhs, finite = step_table(net, policy).gather(block)
     try:
         solved = np.linalg.solve(rows, rhs[..., None])[..., 0]
@@ -144,19 +129,23 @@ def hitting_times_for_direction(
 
 
 def profile_residual(
-    net: Network, d: DirectionVector, policy: TrustPolicy, profile: TimeProfile
+    net: Network, slots: np.ndarray, policy: TrustPolicy, profile: TimeProfile
 ) -> float:
-    """Max one-step recurrence violation over the finite entries."""
-    worst = 0.0
-    for v, t in profile.time.items():
-        if v == net.home or math.isinf(t):
-            continue
-        expect = 0.0
-        for a, prob in step_distribution(net, d, policy, v).items():
-            arc = net.arc(a)
-            expect += prob * (arc.length + profile.time[arc.other(v)])
-        worst = max(worst, abs(t - expect))
-    return worst
+    """Max one-step recurrence violation over the finite entries of the
+    hitting times of `slots` (a row or a block), read from the step
+    probabilities and the arcs rather than the solved systems; NaN when an
+    entry is NaN, so that a NaN fails any bound."""
+    form = compile_network(net)
+    block, times = np.atleast_2d(slots), np.atleast_2d(profile.times)
+    rid = np.tile(form.row_start, (len(block), 1))
+    rid[:, form.branch] += block
+    probs = step_table(net, policy).probs[rid]  # [direction, node, slot]
+    # an arc never taken adds nothing, even towards an infinite time
+    ahead = np.where(probs > 0.0, times[:, form.dest], 0.0)
+    expect = (probs * (form.alen + ahead)).sum(axis=2)
+    t, e = times[:, form.nonhome], expect[:, form.nonhome]
+    kept = t != math.inf
+    return float(np.max(np.abs(t[kept] - e[kept]), initial=0.0))
 
 
 def expected_profile(
@@ -171,10 +160,14 @@ def expected_profile(
     Directions of weight zero are skipped, so reliability 0 or 1 stays
     finite whenever every pointer configuration that actually occurs leads
     home. A node is +inf as soon as one positive-weight direction strands it.
+    A given `space` must be the one enumerated for `net` at reliability `p`.
     """
     step_table(net, policy)
     if space is None:
         space = enumerate_direction_space(net, p=p, cap=cap)
+    elif space.form is not compile_network(net) or space.reliability != p:
+        raise ValidationError("space= was enumerated for another network or "
+                              "reliability")
     kept = np.flatnonzero(space.weights)
     total = np.zeros(len(net.nodes))
     for ids in np.split(kept, range(BLOCK, len(kept), BLOCK)):

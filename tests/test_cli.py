@@ -179,6 +179,22 @@ def test_solve_negative_seed_exits_two(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("solve", "--fixture", "triangle", "--p", "0.75", "--q", "0.5",
+     "--start", "A", "--simulate", "0"),
+    ("solve", "--fixture", "tree", "--p", "0.5", "--q", "0.5", "--start", "B",
+     "--cap", "2", "--simulate", "0"),
+    ("game", "--mode", "symmetric", "--p", "0.6", "--responses", "0"),
+    ("line", "--p", "0.75", "--max-j", "-2"),
+], ids=["simulate", "simulate-over-cap", "responses", "max-j"])
+def test_counts_below_one_exit_two(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert "is not at least 1" in err
+    assert "hint" not in err
+    assert out == ""
+
+
 def test_outputs_are_reproducible(capsys):
     args = ("solve", "--fixture", "triangle", "--p", "0.75", "--q", "0.68",
             "--start", "A", "--simulate", "5000", "--seed", "11")

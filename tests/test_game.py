@@ -272,3 +272,8 @@ def test_simulated_game_validates():
         simulate_game(0.5, 0.5, 0.5, "asymmetric", 0)
     with pytest.raises(ValidationError):
         simulate_game(0.5, 0.5, 0.5, "bogus", 10)
+
+
+def test_simulated_game_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_game(0.75, 0.6, 0.6, "symmetric", 100, seed=-1)

@@ -1,4 +1,7 @@
-"""Direction-vector space: per-node distributions, enumeration, sampling."""
+"""Direction-vector space: per-node distributions, enumeration, sampling.
+
+A direction is a row of pointer slots; these tests read the slots back as
+the arc ids they point along."""
 
 import hashlib
 import itertools
@@ -14,30 +17,43 @@ from satnav import (
     CapExceeded,
     classify,
     enumerate_direction_space,
-    node_pointer_distribution,
     sample_pointer_slots,
     shortest_paths,
 )
 from satnav import fixtures as fx
+from satnav.pointers import pointer_table
 from conftest import small_networks
+
+
+def pointer_distribution(net, spd, v, p):
+    """Row `v` of the pointer table, keyed by the arc id of each slot."""
+    row = pointer_table(net, spd, p)[net.nodes.index(v)]
+    return {a.arc_id: mu for a, mu in zip(net.incident(v), row.tolist())}
+
+
+def space_pointers(net, space):
+    """The pointer arc per branch node of every direction of `space`."""
+    branch = sorted(classify(net).branch_nodes)
+    return [{v: net.incident(v)[s].arc_id for v, s in zip(branch, row)}
+            for row in space.slots.tolist()]
 
 
 def test_triangle_node_distribution(triangle):
     spd = shortest_paths(triangle)
-    dist = node_pointer_distribution(triangle, spd, "A", 0.75)
+    dist = pointer_distribution(triangle, spd, "A", 0.75)
     assert dist == {"AB": 0.75, "AC": 0.25}
 
 
 def test_c4_antipodal_ignores_p(c4):
     spd = shortest_paths(c4)
     for p in (0.1, 0.5, 0.99):
-        dist = node_pointer_distribution(c4, spd, "C", p)
+        dist = pointer_distribution(c4, spd, "C", p)
         assert dist == {"AC": 0.5, "CB": 0.5}
 
 
 def test_degree_three_split(spike):
     spd = shortest_paths(spike)
-    dist = node_pointer_distribution(spike, spd, "X", 0.75)
+    dist = pointer_distribution(spike, spd, "X", 0.75)
     assert dist["XH"] == pytest.approx(0.75)
     assert dist["AX1"] == pytest.approx(0.125)
     assert dist["AX2"] == pytest.approx(0.125)
@@ -47,12 +63,13 @@ def test_triangle_enumeration_weights(triangle):
     p = 0.75
     space = enumerate_direction_space(triangle, p=p)
     assert len(space.entries) == 4
-    weights = sorted(w for _, w in space.entries)
+    weights = sorted(space.weights.tolist())
     assert weights == pytest.approx(
         sorted([p * p, p * (1 - p), (1 - p) * p, (1 - p) ** 2])
     )
-    all_correct = [w for d, w in space.entries
-                   if d.pointer == {"A": "AB", "B": "BC"}]
+    all_correct = [w for pointer, w in zip(space_pointers(triangle, space),
+                                           space.weights.tolist())
+                   if pointer == {"A": "AB", "B": "BC"}]
     assert all_correct == [pytest.approx(p * p)]
 
 
@@ -62,9 +79,9 @@ def test_spike_has_six_vectors(spike):
 
 def test_tree_has_six_vectors(tree):
     space = enumerate_direction_space(tree, p=0.75)
-    assert len(space.entries) == 6
-    for d, _ in space.entries:
-        assert set(d.pointer) == {"A", "B"}
+    assert space.slots.shape == (6, 2)
+    for pointer in space_pointers(tree, space):
+        assert set(pointer) == {"A", "B"}
 
 
 def test_enumeration_order_is_product_of_sorted_arc_ids(spike):
@@ -72,7 +89,7 @@ def test_enumeration_order_is_product_of_sorted_arc_ids(spike):
     branch = sorted(classify(spike).branch_nodes)
     arc_ids = [sorted(a.arc_id for a in spike.incident(v)) for v in branch]
     want = [dict(zip(branch, combo)) for combo in itertools.product(*arc_ids)]
-    assert [dict(d.pointer) for d, _ in space.entries] == want
+    assert space_pointers(spike, space) == want
 
 
 def test_cap_exceeded(triangle):
@@ -84,14 +101,14 @@ def test_cap_exceeded(triangle):
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
 def test_weights_sum_to_one_on_fixtures(name, p):
     space = enumerate_direction_space(fx.fixture(name), p=p)
-    assert abs(sum(w for _, w in space.entries) - 1.0) < 1e-12
+    assert abs(sum(space.weights.tolist()) - 1.0) < 1e-12
 
 
 @given(small_networks(), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=40, deadline=None)
 def test_weights_sum_to_one_generated(net, p):
     space = enumerate_direction_space(net, p=p)
-    assert abs(sum(w for _, w in space.entries) - 1.0) < 1e-12
+    assert abs(sum(space.weights.tolist()) - 1.0) < 1e-12
 
 
 def test_all_correct_weight_is_product(tree):
@@ -99,11 +116,13 @@ def test_all_correct_weight_is_product(tree):
     spd = shortest_paths(tree)
     space = enumerate_direction_space(tree, spd, p)
     correct = {v: next(iter(arcs)) for v, arcs in spd.correct_arcs.items()}
-    weight = [w for d, w in space.entries if dict(d.pointer) == correct]
+    weight = [w for pointer, w in zip(space_pointers(tree, space),
+                                      space.weights.tolist())
+              if pointer == correct]
     # both branch nodes have a unique correct arc, so the product is p * p
     assert weight == [pytest.approx(p * p, abs=1e-15)]
     expected = math.prod(
-        node_pointer_distribution(tree, spd, v, p)[a] for v, a in correct.items()
+        pointer_distribution(tree, spd, v, p)[a] for v, a in correct.items()
     )
     assert weight == [pytest.approx(expected)]
 
@@ -139,8 +158,9 @@ def test_sampling_matches_enumeration(spike):
     n = 100_000
     spd = shortest_paths(spike)
     space = enumerate_direction_space(spike, spd, p)
-    keys = [tuple(sorted(d.pointer.items())) for d, _ in space.entries]
-    expected = np.array([w for _, w in space.entries]) * n
+    keys = [tuple(sorted(pointer.items()))
+            for pointer in space_pointers(spike, space)]
+    expected = space.weights * n
     counts = dict.fromkeys(keys, 0)
     rng = np.random.default_rng(20240817)
     for pointer in drawn_pointers(spike,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from satnav import (
     ByDegree,
-    DirectionVector,
     Uniform,
     ValidationError,
     build_network,
@@ -23,18 +22,30 @@ from satnav import (
     hitting_times_for_direction,
     shortest_paths,
     simulate,
-    step_distribution,
 )
 from satnav import fixtures as fx
-from satnav.solver import BLOCK, profile_residual
+from satnav.pointers import compile_network, step_table
+from satnav.solver import BLOCK, TimeProfile, profile_residual
 from conftest import small_networks
 
-D1 = DirectionVector({"A": "AB", "B": "BC"})  # triangle: both pointers correct
-D3 = DirectionVector({"A": "AB", "B": "AB"})  # correct at A, wrong at B
+# a direction is a row of pointer slots, one per branch node in node order;
+# slot s is the node's s-th incident arc in the order the arcs were given
+D1 = np.array([0, 1])  # triangle, A: AB, B: BC, both pointers correct
+D3 = np.array([0, 0])  # triangle, A: AB, B: AB, correct at A, wrong at B
+
+
+def step_distribution(net, slots, policy, v):
+    """The step table row of `v` under `slots`, keyed by arc id."""
+    form = compile_network(net)
+    i = form.index[v]
+    row = form.row_start[i] + (slots[form.branch.index(i)]
+                               if i in form.branch else 0)
+    probs = step_table(net, policy).probs[row]
+    return {a.arc_id: pr for a, pr in zip(net.incident(v), probs.tolist())}
 
 
 def test_step_distribution_degree_three(spike):
-    d = DirectionVector({"A": "AX1", "X": "XH"})
+    d = np.array([0, 2])  # A: AX1, X: XH
     dist = step_distribution(spike, d, Uniform(0.55), "X")
     assert dist["XH"] == pytest.approx(0.55)
     assert dist["AX1"] == pytest.approx(0.225)
@@ -42,7 +53,7 @@ def test_step_distribution_degree_three(spike):
 
 
 def test_step_distribution_leaf_reflects(tree):
-    d = DirectionVector({"A": "AB", "B": "BH"})
+    d = np.array([1, 2])  # A: AB, B: BH
     assert step_distribution(tree, d, Uniform(0.3), "1") == {"1B": 1.0}
 
 
@@ -51,11 +62,6 @@ def test_step_distribution_degree_two_full_trust(triangle):
         "AB": 1.0,
         "AC": 0.0,
     }
-
-
-def test_step_distribution_rejects_home(triangle):
-    with pytest.raises(ValidationError):
-        step_distribution(triangle, D1, Uniform(0.5), "C")
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.68, 0.9])
@@ -76,7 +82,8 @@ def test_triangle_blocking_direction_is_infinite(triangle):
 
 def test_forced_path():
     net = build_network("H", [("IH", "I", "H", 5)])
-    profile = hitting_times_for_direction(net, DirectionVector({}), Uniform(0.4))
+    profile = hitting_times_for_direction(net, np.zeros(0, dtype=np.int64),
+                                          Uniform(0.4))
     assert profile.time["I"] == pytest.approx(5.0)
 
 
@@ -91,8 +98,8 @@ def test_block_rows_equal_single_direction_solves(name, policy):
     block = profile.times
     assert block.shape == (len(space), len(net.nodes))
     assert profile.time[net.nodes[0]] == block[:, 0].tolist()
-    for k, (d, _) in enumerate(space):
-        single = hitting_times_for_direction(net, d, policy).times
+    for k, slots in enumerate(space.slots):
+        single = hitting_times_for_direction(net, slots, policy).times
         assert block[k].tolist() == single.tolist()
     if name == "triangle":
         assert np.isinf(block).any() and np.isfinite(block[:, :2]).any()
@@ -124,9 +131,54 @@ def test_expected_profile_is_the_in_order_sum_of_single_solves():
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
 def test_profile_residual_small(tree, q):
-    for d, _ in enumerate_direction_space(tree, p=0.75).entries:
-        profile = hitting_times_for_direction(tree, d, Uniform(q))
-        assert profile_residual(tree, d, Uniform(q), profile) < 1e-9
+    for slots in enumerate_direction_space(tree, p=0.75).slots:
+        profile = hitting_times_for_direction(tree, slots, Uniform(q))
+        assert profile_residual(tree, slots, Uniform(q), profile) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.7, 1.0])
+def test_profile_residual_on_whole_blocks(name, q):
+    net = fx.fixture(name)
+    slots = enumerate_direction_space(net, p=0.5).slots
+    profile = hitting_times_for_direction(net, slots, Uniform(q))
+    assert profile_residual(net, slots, Uniform(q), profile) <= 1e-9
+    # one finite time off by 1e-3 breaks its own recurrence by that much
+    k, v = np.argwhere(np.isfinite(profile.times) & (profile.times > 0))[0]
+    times = profile.times.copy()
+    times[k, v] += 1e-3
+    corrupted = TimeProfile(profile.nodes, times)
+    assert profile_residual(net, slots, Uniform(q), corrupted) >= 0.9e-3
+    times[k, v] = math.nan
+    nan_profile = TimeProfile(profile.nodes, times)
+    assert not profile_residual(net, slots, Uniform(q), nan_profile) <= 1e-9
+
+
+@pytest.mark.parametrize("slots", [
+    [0, 3],  # B has degree 3
+    [2, 0],  # A has degree 2
+    [-1, 0],
+    [[0, 1], [0, 3]],
+    [0, 1, 2],  # the tree has two branch nodes
+    [[[0, 1]]],
+    np.array(0),
+    np.array([0.0, 1.0]),
+    np.array([True, False]),
+])
+def test_hitting_times_validates_slots(tree, slots):
+    with pytest.raises(ValidationError, match="pointer slots"):
+        hitting_times_for_direction(tree, slots, Uniform(0.5))
+
+
+def test_expected_time_rejects_a_foreign_space(tree):
+    space = enumerate_direction_space(tree, p=0.5)
+    assert expected_time(tree, 0.9, Uniform(0.5), "A") == pytest.approx(7.6)
+    assert expected_time(tree, 0.5, Uniform(0.5), "A", space=space) == \
+        expected_time(tree, 0.5, Uniform(0.5), "A")
+    with pytest.raises(ValidationError, match="reliability"):
+        expected_time(tree, 0.9, Uniform(0.5), "A", space=space)
+    with pytest.raises(ValidationError, match="network"):
+        expected_time(fx.tree(), 0.5, Uniform(0.5), "A", space=space)
 
 
 def test_expected_time_spike_uniform(spike):
@@ -321,10 +373,10 @@ def test_expected_time_at_least_distance(net, p, q):
 @settings(max_examples=20, deadline=None)
 def test_interior_policy_profiles_are_finite(net, q):
     space = enumerate_direction_space(net, p=0.5)
-    for d, _ in space.entries:
-        profile = hitting_times_for_direction(net, d, Uniform(q))
+    for slots in space.slots:
+        profile = hitting_times_for_direction(net, slots, Uniform(q))
         assert all(not math.isinf(t) for t in profile.time.values())
-        assert profile_residual(net, d, Uniform(q), profile) < 1e-9
+        assert profile_residual(net, slots, Uniform(q), profile) < 1e-9
 
 
 def test_branch_nodes_are_only_pointer_sites(c4):
