@@ -2,15 +2,23 @@
 for degree-indexed trusts, and optimal-trust-vs-reliability curves.
 
 Expected time is smooth in the trust but not proven unimodal on arbitrary
-networks, so every scalar search runs a coarse grid first and golden-section
-refinement only inside the winning bracket. Uniform-mode searches stay
-inside [eps, 1-eps]: expected time diverges at both trust endpoints when a
-branch node sits next to home, so the clamp never hides an optimum.
+networks, so every trust search scores a coarse grid first and refines only
+inside the winning bracket. Both run on a `TrustLine`: per block of
+directions, one gather of the affine systems serves every grid trust, and
+the same matrices give the exact first and second derivatives for a
+safeguarded Newton iteration on dE/dq = 0. The reported value is one
+`expected_time` at the chosen trust. Uniform-mode searches stay inside
+[eps, 1-eps]: expected time diverges at both trust endpoints when a branch
+node sits next to home, so the clamp never hides an optimum.
 Degree-indexed coordinates may legitimately sit at exactly 0 or 1 (a
 degree-2 node whose two arcs both lead the same way wants trust 1), so
-counting-mode searches include the exact endpoints and keep them when they
-win; an endpoint that strands the walk has infinite expected time and loses
+counting-mode searches score the exact endpoints with `expected_time` and
+keep one that wins the grid while the derivative there points outward; an
+endpoint that strands the walk has infinite expected time and loses
 automatically.
+
+`minimize_scalar_grid` (grid, then golden section) is the search for
+closed-form objectives such as the game's payoffs.
 """
 
 from __future__ import annotations
@@ -24,11 +32,13 @@ from .closed_form import star_optimal_trust
 from .errors import NonConvergence, ValidationError
 from .network import Network, classify
 from .pointers import ENUMERATION_CAP, enumerate_direction_space
-from .solver import ByDegree, TrustPolicy, Uniform, expected_time
+from .solver import ByDegree, TrustLine, TrustPolicy, Uniform, expected_time
 
 EPS = 1e-4
 COORDINATE_TOL = 1e-6  # coordinate descent stops once no trust moves more
 MAX_SWEEPS = 100
+NEWTON_TOL = 1e-10  # a trust search stops once its bracket is this narrow
+MAX_NEWTON = 100
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-12
 
@@ -36,8 +46,8 @@ _TIE_TOL = 1e-12
 @dataclass(frozen=True)
 class Diagnostics:
     grid_points: int
-    iterations: int
-    residual: float  # width of the final golden-section bracket
+    iterations: int  # golden-section or Newton steps
+    residual: float  # width of the final bracket of the refinement
 
 
 @dataclass(frozen=True)
@@ -48,10 +58,7 @@ class OptimizationResult:
     diagnostics: Diagnostics
 
 
-def golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float, int]:
-    """Minimize a unimodal f on [lo, hi]; returns (x, f(x), iterations)."""
+def _golden(f, lo, hi, tol):
     a, b = lo, hi
     c = b - _INVGOLD * (b - a)
     d = a + _INVGOLD * (b - a)
@@ -68,7 +75,29 @@ def golden_section(
             d = a + _INVGOLD * (b - a)
             fd = f(d)
     x = c if fc < fd else d
-    return x, min(fc, fd), iterations
+    return x, min(fc, fd), iterations, b - a
+
+
+def golden_section(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
+) -> tuple[float, float, int]:
+    """Minimize a unimodal f on [lo, hi]; returns (x, f(x), iterations)."""
+    return _golden(f, lo, hi, tol)[:3]
+
+
+def _grid(lo: float, hi: float, points: int) -> list[float]:
+    if points < 3:
+        raise ValidationError("grid needs at least 3 points")
+    step = (hi - lo) / (points - 1)
+    return [lo + i * step for i in range(points - 1)] + [hi]
+
+
+def _grid_winner(grid: list[float], values: Sequence[float]) -> int:
+    """Index of the smallest value; ties within 1e-12 resolve toward the
+    smaller argument, so results are deterministic."""
+    best = min(range(len(grid)), key=lambda i: (values[i], grid[i]))
+    return next(i for i in range(best + 1)
+                if values[i] <= values[best] + _TIE_TOL)
 
 
 def minimize_scalar_grid(
@@ -84,19 +113,12 @@ def minimize_scalar_grid(
     are deterministic. If a grid endpoint wins outright it is returned
     exactly (the bracket refinement cannot beat it).
     """
-    if grid_points < 3:
-        raise ValidationError("grid needs at least 3 points")
-    step = (hi - lo) / (grid_points - 1)
-    grid = [lo + i * step for i in range(grid_points - 1)] + [hi]
+    grid = _grid(lo, hi, grid_points)
     values = [f(x) for x in grid]
-    best = min(range(grid_points), key=lambda i: (values[i], grid[i]))
-    for i in range(best):
-        if values[i] <= values[best] + _TIE_TOL:
-            best = i
-            break
+    best = _grid_winner(grid, values)
     blo = grid[max(best - 1, 0)]
     bhi = grid[min(best + 1, grid_points - 1)]
-    x, fx, iterations = golden_section(f, blo, bhi, tol)
+    x, fx, iterations, width = _golden(f, blo, bhi, tol)
     # Near a smooth minimum the golden bracket is limited by function-value
     # noise; one guarded parabolic vertex fit recovers several digits. The
     # acceptance allowance is a few ulps: at the noise floor the vertex can
@@ -115,23 +137,63 @@ def minimize_scalar_grid(
                     x, fx = vertex, f_vertex
     if values[best] <= fx:
         x, fx = grid[best], values[best]
-    return x, fx, Diagnostics(grid_points, iterations, bhi - blo)
+    return x, fx, Diagnostics(grid_points, iterations, width)
 
 
-def _refine_near(
-    f: Callable[[float], float],
-    center: float,
-    lo: float,
-    hi: float,
-) -> tuple[float, float, Diagnostics] | None:
-    """Warm-started local search within 0.06 of `center`; None when that
-    window does not bracket a minimum and the caller should fall back to
-    the full grid."""
-    wlo = max(lo, center - 0.06)
-    whi = min(hi, center + 0.06)
-    x, fx, diag = minimize_scalar_grid(f, wlo, whi, grid_points=13)
-    interior = wlo + (whi - wlo) * 0.1 < x < whi - (whi - wlo) * 0.1
-    return (x, fx, diag) if interior else None
+def _exact(line: TrustLine, q: float) -> float:
+    """Expected time at trust q from the exact path."""
+    return expected_time(line.net, line.space.reliability, line.policy_at(q),
+                         line.start, space=line.space)
+
+
+def _newton(line: TrustLine, a: float, b: float, x: float
+            ) -> tuple[float, float, int]:
+    """Root of dE/dq in [a, b] by Newton steps from x, safeguarded by
+    bisection; returns (trust, final bracket width, steps).
+
+    Each step moves the bracket end on x's side of the root up to x. A step
+    that leaves the bracket, meets non-positive curvature or fails to halve
+    the previous step bisects instead. Once a Newton step is shorter than
+    half the tolerance, the next point lies that far beyond the estimate,
+    so that the bracket closes around the root. A grid endpoint where the
+    derivative points outward closes the bracket at once.
+    """
+    last = b - a
+    for steps in range(1, MAX_NEWTON + 1):
+        _, slope, curvature = line.derivatives(x)
+        if slope == 0.0:
+            return x, 0.0, steps
+        if slope < 0.0:
+            a = x
+        else:
+            b = x
+        step = -slope / curvature if curvature > 0.0 else math.nan
+        if b - a <= NEWTON_TOL:
+            return (x + step if a <= x + step <= b else (a + b) / 2,
+                    b - a, steps)
+        if abs(step) < NEWTON_TOL / 2:
+            step = math.copysign(NEWTON_TOL / 2, -slope)
+        elif not (a < x + step < b and abs(step) <= last / 2):
+            step = (a + b) / 2 - x
+        x, last = x + step, abs(step)
+    raise NonConvergence(
+        f"trust search did not close its bracket within {MAX_NEWTON} steps")
+
+
+def _search(line: TrustLine, lo: float, hi: float, points: int
+            ) -> tuple[float, Diagnostics]:
+    """The trust in [lo, hi] of least expected time on `line`: a grid of
+    `points` trusts (0 and 1 scored by `expected_time`), then `_newton`
+    inside the winner's bracket."""
+    grid = _grid(lo, hi, points)
+    inner = iter(line.values([q for q in grid if 0.0 < q < 1.0]))
+    values = [next(inner) if 0.0 < q < 1.0 else _exact(line, q) for q in grid]
+    best = _grid_winner(grid, values)
+    if values[best] == math.inf:  # every trust strands the walk
+        return grid[best], Diagnostics(points, 0, hi - lo)
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, points - 1)]
+    q, width, steps = _newton(line, a, b, grid[best])
+    return q, Diagnostics(points, steps, width)
 
 
 def optimize_uniform(
@@ -141,19 +203,23 @@ def optimize_uniform(
     cap: int = ENUMERATION_CAP,
     warm: float | None = None,
 ) -> OptimizationResult:
-    """Minimize expected time to home over a single trust in [eps, 1-eps]."""
+    """Minimize expected time to home over a single trust in [eps, 1-eps].
+
+    With `warm`, a 13-point grid within 0.06 of it is searched first; the
+    full 101-point grid runs when that window's optimum is not interior.
+    """
     space = enumerate_direction_space(net, p=p, cap=cap)
-
-    def f(q: float) -> float:
-        return expected_time(net, p, Uniform(q), start, space=space)
-
+    line = TrustLine(net, space, start, Uniform)
     found = None
     if warm is not None:
-        found = _refine_near(f, warm, EPS, 1.0 - EPS)
+        wlo, whi = max(EPS, warm - 0.06), min(1.0 - EPS, warm + 0.06)
+        q, diag = _search(line, wlo, whi, 13)
+        if wlo + (whi - wlo) * 0.1 < q < whi - (whi - wlo) * 0.1:
+            found = q, diag
     if found is None:
-        found = minimize_scalar_grid(f, EPS, 1.0 - EPS)
-    q, value, diag = found
-    return OptimizationResult(Uniform(q), value, start, diag)
+        found = _search(line, EPS, 1.0 - EPS, 101)
+    q, diag = found
+    return OptimizationResult(Uniform(q), _exact(line, q), start, diag)
 
 
 def optimize_counting(
@@ -167,8 +233,8 @@ def optimize_counting(
 
     Starts from the star-optimal trust for each degree, which is already
     exact on trees. Coordinates range over all of [0, 1]; an endpoint is
-    kept only when it beats the refined interior, which reachability makes
-    safe (a stranding endpoint scores +inf).
+    kept when it wins the grid and the derivative there points outward,
+    which reachability makes safe (a stranding endpoint scores +inf).
     """
     degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
     if not degrees:
@@ -183,14 +249,15 @@ def optimize_counting(
     if warm is not None:
         trusts.update({k: warm[k] for k in degrees if k in warm})
 
-    def f_coord(k: int, q: float) -> float:
-        policy = ByDegree({**trusts, k: q})
-        return expected_time(net, p, policy, start, space=space)
+    def coordinate(k: int) -> TrustLine:
+        others = dict(trusts)
+        return TrustLine(net, space, start,
+                         lambda q: ByDegree({**others, k: q}))
 
     for _ in range(MAX_SWEEPS):
         largest_move = 0.0
         for k in degrees:
-            q, _, diag = minimize_scalar_grid(lambda q: f_coord(k, q), 0.0, 1.0)
+            q, diag = _search(coordinate(k), 0.0, 1.0, 101)
             largest_move = max(largest_move, abs(q - trusts[k]))
             trusts[k] = q
         if largest_move < COORDINATE_TOL:

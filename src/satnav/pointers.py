@@ -186,22 +186,13 @@ class StepTable:
     @cached_property
     def system(self) -> tuple[np.ndarray, np.ndarray]:
         """Per table row, its row of I - P over the non-home nodes and the
-        expected length of one step; slots add in order, as arcs would.
-        An identity row of length 0 per non-home node follows the table."""
-        form, every = self.form, np.arange(len(self.probs))
-        rows = np.zeros((len(every), len(form.nonhome) + 1))
-        rows[every, form.col[form.row_node]] = 1.0
-        rhs = np.zeros(len(every))
-        alen, dcol = form.alen[form.row_node], form.col[form.dest[form.row_node]]
-        for s in range(self.probs.shape[1]):
-            rhs += self.probs[:, s] * alen[:, s]
-            rows[every, dcol[:, s]] -= self.probs[:, s]
-        return (np.vstack([rows[:, :-1], np.eye(len(form.nonhome))]),
-                np.concatenate([rhs, np.zeros(len(form.nonhome))]))
+        expected length of one step; an identity row of length 0 per
+        non-home node follows the table."""
+        return assemble(self.form, self.probs, 1.0)
 
-    def gather(self, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per direction (row of `slots`): I - P over all non-home nodes, the
-        one-step lengths, and the mask of finite expected times. A node of
+    def table_rows(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        """Per direction (row of `slots`): the row of `system` for each
+        non-home node, and the mask of finite expected times. A node of
         infinite time gets its identity row; no finite node steps to it."""
         form = self.form
         rid = np.tile(form.row_start[form.nonhome], (len(slots), 1))
@@ -211,8 +202,7 @@ class StepTable:
         finite = np.array([self.finite(key, rid[k]) for key, k
                            in zip(map(tuple, keys.tolist()), first)])[inverse]
         rid[~finite] = len(self.probs) + np.nonzero(~finite)[1]
-        rows, rhs = self.system
-        return rows[rid], rhs[rid], finite
+        return rid, finite
 
     def finite(self, key: tuple, rid) -> np.ndarray:
         """Mask of the non-home nodes with finite expected time when they
@@ -229,6 +219,25 @@ class StepTable:
             lost = (reach & ~reach[:, form.home]).any(axis=1)
             self._finite[key] = ~lost[form.nonhome]
         return self._finite[key]
+
+
+def assemble(form: CompiledNetwork, probs: np.ndarray, diagonal: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of diagonal * I - P over the non-home nodes and the expected
+    one-step lengths, for step chances `probs` per table row (slots add in
+    order, as arcs would); then diagonal * I with lengths 0, the rows of
+    the nodes of infinite time. With diagonal 0 and the derivative of
+    `probs`, this is the derivative of the system."""
+    every = np.arange(len(probs))
+    rows = np.zeros((len(every), len(form.nonhome) + 1))
+    rows[every, form.col[form.row_node]] = diagonal
+    rhs = np.zeros(len(every))
+    alen, dcol = form.alen[form.row_node], form.col[form.dest[form.row_node]]
+    for s in range(probs.shape[1]):
+        rhs += probs[:, s] * alen[:, s]
+        rows[every, dcol[:, s]] -= probs[:, s]
+    return (np.vstack([rows[:, :-1], diagonal * np.eye(len(form.nonhome))]),
+            np.concatenate([rhs, np.zeros(len(form.nonhome))]))
 
 
 def step_table(net: Network, policy) -> StepTable:

@@ -11,6 +11,13 @@ Nodes from which the induced chain cannot reach home -- or that can wander
 into a region that cannot -- have infinite expected time. They are found by
 reachability analysis before solving and get identity rows, so cycling
 pointer configurations are exact infinities rather than solver blow-ups.
+A solve that fails in LAPACK or returns a negative or NaN time raises
+SingularSystem instead of answering.
+
+Along one trust coordinate every system is affine in the trust, so a
+`TrustLine` gathers intercept and slope once per block of directions for
+all the trusts of an optimizer's search, and gives the exact first and
+second derivatives of the expected time from the same matrices.
 
 A vectorized Monte Carlo walker provides an independent check on all of the
 exact machinery.
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -29,7 +36,9 @@ from .errors import SingularSystem, ValidationError, check_probability
 from .network import Network, shortest_paths
 from .pointers import (
     ENUMERATION_CAP,
+    StepTable,
     WeightedDirectionSpace,
+    assemble,
     compile_network,
     enumerate_direction_space,
     sample_pointer_slots,
@@ -37,6 +46,10 @@ from .pointers import (
 )
 
 BLOCK = 1024  # directions per stacked solve in expected_profile
+# directions per gathered block of a TrustLine; it keeps intercept, slope
+# and one trust's system per block, so it is smaller than BLOCK to hold
+# the search's peak memory near the exact path's
+TRUST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -98,6 +111,22 @@ class SimulationResult:
     seed: int
 
 
+def _solve(rows: np.ndarray, rhs: np.ndarray, times: bool = True) -> np.ndarray:
+    """One stacked `np.linalg.solve` of rows @ x = rhs, for every stacked
+    hitting-time solve. SingularSystem when LAPACK fails, or when solved
+    `times` (not derivatives) hold a negative or NaN entry: near trust 0 or
+    1 the LU can lose the escape mass of a near trap."""
+    try:
+        solved = np.linalg.solve(rows, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"hitting-time system singular in a block of "
+                             f"{len(rows)} directions: {exc}") from None
+    if times and not (solved >= 0.0).all():
+        raise SingularSystem(f"hitting-time system gave a negative or NaN "
+                             f"time in a block of {len(rows)} directions")
+    return solved
+
+
 def hitting_times_for_direction(
     net: Network, slots: np.ndarray, policy: TrustPolicy
 ) -> TimeProfile:
@@ -117,14 +146,12 @@ def hitting_times_for_direction(
         raise ValidationError(
             f"pointer slots of shape {slots.shape} and dtype {slots.dtype} are "
             f"not rows of {len(form.branch)} integers in [0, degree)")
-    rows, rhs, finite = step_table(net, policy).gather(block)
-    try:
-        solved = np.linalg.solve(rows, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"hitting-time system singular in a block of "
-                             f"{len(block)} directions: {exc}") from None
+    steps = step_table(net, policy)
+    rid, finite = steps.table_rows(block)
+    rows, rhs = steps.system
     times = np.zeros((len(block), len(form.nodes)))
-    times[:, form.nonhome] = np.where(finite, solved, math.inf)
+    times[:, form.nonhome] = np.where(finite, _solve(rows[rid], rhs[rid]),
+                                      math.inf)
     return TimeProfile(form.nodes, times.reshape(slots.shape[:-1] + (-1,)))
 
 
@@ -211,6 +238,82 @@ def expected_time_between(
     if start == to:
         return 0.0
     return expected_time(net.retargeted(to), p, policy, start, cap=cap)
+
+
+class TrustLine:
+    """The hitting-time systems of every direction of `space` along one
+    trust coordinate, `policy_at(q)`: every branch row under `Uniform`, the
+    rows of one degree under `ByDegree`; expected times are read at `start`.
+
+    Each table row's row of I - P and one-step length are intercept + q *
+    slope. The intercept is the system at q = 0; the slope is assembled
+    from the step chances at q = 1 minus those at q = 0, which is exactly
+    +1 on the pointer slot and -1/(deg-1) on each other slot of the
+    coordinate's rows, and 0 on every other row. Trusts strictly inside
+    (0, 1) share one zero pattern, so one gather of intercept and slope per
+    block of directions serves them all; a trust of 0 or 1 is solved with
+    its own pattern of identity rows.
+
+    A(q) T = b(q) gives A T' = b1 - A1 T and A T'' = -2 A1 T' on the same
+    matrix, where A1 and b1 are the slopes.
+    """
+
+    def __init__(self, net: Network, space: WeightedDirectionSpace, start: str,
+                 policy_at: Callable[[float], TrustPolicy]):
+        if start not in net.nodes:
+            raise ValidationError(f"unknown start node {start!r}")
+        self.form = form = compile_network(net)
+        self.net, self.space, self.start = net, space, start
+        self.policy_at = policy_at
+        self.col = form.col[form.index[start]]  # past the last column at home
+        low, high = StepTable(form, policy_at(0.0)), StepTable(form, policy_at(1.0))
+        self.intercept = low.system
+        self.slope = assemble(form, high.probs - low.probs, 0.0)
+        self.interior = StepTable(form, policy_at(0.5))
+
+    def _blocks(self, pattern: StepTable) -> Iterator[tuple]:
+        """Per block of positive-weight directions: weights, finite mask,
+        and the gathered intercept and slope matrices and lengths."""
+        (a0, b0), (a1, b1) = self.intercept, self.slope
+        kept = np.flatnonzero(self.space.weights)
+        for ids in np.split(kept, range(TRUST_BLOCK, len(kept), TRUST_BLOCK)):
+            rid, finite = pattern.table_rows(self.space.slots[ids])
+            yield (self.space.weights[ids], finite,
+                   a0[rid], a1[rid], b0[rid], b1[rid])
+
+    def _at_start(self, weights, finite, *solved) -> list[float]:
+        """Weighted sums of the start's entry of each solved block; +inf
+        where a direction strands the start."""
+        if self.col == finite.shape[1]:
+            return [0.0] * len(solved)
+        keep = finite[:, self.col]
+        return [float(weights @ np.where(keep, x[:, self.col], math.inf))
+                for x in solved]
+
+    def values(self, trusts) -> np.ndarray:
+        """Expected time from the start at each trust strictly inside
+        (0, 1): one stacked solve per trust and block."""
+        total = np.zeros(len(trusts))
+        for weights, finite, a0, a1, b0, b1 in self._blocks(self.interior):
+            for j, q in enumerate(trusts):
+                total[j] += self._at_start(
+                    weights, finite, _solve(a0 + q * a1, b0 + q * b1))[0]
+        return total
+
+    def derivatives(self, q: float) -> tuple[float, float, float]:
+        """Expected time from the start at trust q with its first and second
+        derivative in q; at q = 0 or 1, the one-sided derivatives of the
+        system with that trust's own pattern of identity rows."""
+        pattern = (self.interior if 0.0 < q < 1.0
+                   else StepTable(self.form, self.policy_at(q)))
+        total = np.zeros(3)
+        for weights, finite, a0, a1, b0, b1 in self._blocks(pattern):
+            a = a0 + q * a1
+            t = _solve(a, b0 + q * b1)
+            t1 = _solve(a, b1 - (a1 @ t[..., None])[..., 0], times=False)
+            t2 = _solve(a, -2.0 * (a1 @ t1[..., None])[..., 0], times=False)
+            total += self._at_start(weights, finite, t, t1, t2)
+        return tuple(total.tolist())
 
 
 def simulate(

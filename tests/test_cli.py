@@ -112,6 +112,19 @@ def test_solve_non_finite_arc_length_exits_two(tmp_path, capsys, length):
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("optimize", "--fixture", "line7", "--p", "0.75", "--start", "0"),
+    ("solve", "--fixture", "line5", "--p", "1", "--q", "1e-12", "--start", "0"),
+])
+def test_negative_solved_times_exit_four(capsys, args):
+    # near trust 0 or 1 the dense LU loses the escape mass of a near trap
+    # and returns negative times; they must not be printed as an answer
+    code, out, err = run_cli(capsys, *args)
+    assert code == 4
+    assert out == ""
+    assert "gave a negative or NaN time in a block of" in err
+
+
 def test_solve_over_cap_with_simulation_leaves_time_empty(capsys):
     code, out, err = run_cli(capsys, "solve", "--fixture", "tree",
                              "--p", "0.5", "--q", "0.5", "--start", "B",

@@ -10,6 +10,8 @@ from satnav import (
     Uniform,
     ValidationError,
     build_network,
+    enumerate_direction_space,
+    expected_time,
     golden_section,
     minimize_scalar_grid,
     optimize_counting,
@@ -20,7 +22,9 @@ from satnav import (
 )
 from conftest import star_network
 from satnav import fixtures as fx
-from satnav.optimize import EPS
+from satnav.network import classify
+from satnav.optimize import EPS, _grid, _search
+from satnav.solver import TrustLine
 
 
 def test_golden_section_quadratic():
@@ -47,6 +51,90 @@ def test_minimize_scalar_grid_keeps_winning_endpoint():
     x, fx, _ = minimize_scalar_grid(lambda t: -t, 0.0, 1.0)
     assert x == 1.0
     assert fx == -1.0
+
+
+def test_minimize_scalar_grid_reports_the_final_bracket():
+    _, _, diag = minimize_scalar_grid(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+    assert 0.0 < diag.residual <= 1e-10
+
+
+def trust_lines(p):
+    """(name, start, line) for every fixture and non-home start, under
+    Uniform and under the top branch degree's ByDegree coordinate."""
+    for name in sorted(fx.FIXTURES):
+        net = fx.fixture(name)
+        space = enumerate_direction_space(net, p=p)
+        degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
+        coordinate = lambda q, k=degrees[-1], others=dict.fromkeys(degrees, 0.7): (
+            ByDegree({**others, k: q}))
+        for start in net.nodes:
+            if start != net.home:
+                for policy_at in (Uniform, coordinate):
+                    yield name, start, TrustLine(net, space, start, policy_at)
+
+
+def test_trust_line_derivatives_match_central_differences():
+    h = 1e-5
+    for name, start, line in trust_lines(0.75):
+        for q in (0.3, 0.6):
+            value, slope, curvature = line.derivatives(q)
+            below, at, above = line.values([q - h, q, q + h])
+            assert value == pytest.approx(at, rel=1e-13), (name, start, q)
+            assert slope == pytest.approx(
+                (above - below) / (2 * h), rel=1e-6), (name, start, q)
+            assert curvature == pytest.approx(
+                (above - 2 * at + below) / h**2, rel=1e-3), (name, start, q)
+
+
+def test_trust_line_values_match_expected_time():
+    grid = _grid(EPS, 1 - EPS, 101)
+    for name, start, line in trust_lines(0.75):
+        if name == "line7":  # its clamp trusts defeat the dense solve
+            continue
+        for q, value in zip(grid, line.values(grid)):
+            exact = expected_time(line.net, 0.75, line.policy_at(q), start,
+                                  space=line.space)
+            assert value == pytest.approx(exact, rel=1e-13), (name, start, q)
+
+
+class StubLine:
+    """A stand-in for a TrustLine whose expected time is exp(q) - c * q,
+    least at q = log(c)."""
+
+    def __init__(self, c):
+        self.c, self.seen = c, []
+
+    def values(self, trusts):
+        return [math.exp(q) - self.c * q for q in trusts]
+
+    def derivatives(self, q):
+        self.seen.append(q)
+        return math.exp(q) - self.c * q, math.exp(q) - self.c, math.exp(q)
+
+
+@pytest.mark.parametrize("least", [math.log(2.0), 0.103])
+def test_search_closes_its_bracket_on_an_interior_minimum(least):
+    # at 0.103 the grid end 0.1 wins and its derivative points inward
+    line = StubLine(math.exp(least))
+    q, diag = _search(line, 0.1, 0.9, 101)
+    assert q == pytest.approx(least, abs=1e-12)
+    assert 0.0 < diag.residual <= 1e-10
+    assert diag.iterations == len(line.seen) <= 6
+
+
+@pytest.mark.parametrize("c, end", [(1.0, 0.1), (3.0, 0.9)])
+def test_search_keeps_an_end_whose_derivative_points_outward(c, end):
+    line = StubLine(c)
+    q, diag = _search(line, 0.1, 0.9, 101)
+    assert q == end
+    assert line.seen == [end]  # no trust closer to the end is evaluated
+    assert (diag.iterations, diag.residual) == (1, 0.0)
+
+
+def test_uniform_search_reports_its_final_bracket(tree):
+    res = optimize_uniform(tree, 0.75, "A")
+    assert EPS < res.policy.q < 1 - EPS
+    assert res.diagnostics.residual <= 1e-8
 
 
 def test_uniform_triangle(triangle):
@@ -91,6 +179,16 @@ def test_counting_spike(spike):
     assert res.policy.q_by_degree[2] == 1.0
     assert res.policy.q_by_degree[3] == pytest.approx(0.55051, abs=5e-4)
     assert res.value == pytest.approx(5.056, abs=2e-3)
+
+
+def test_counting_settles_on_a_flat_coordinate(spike):
+    # at p = 1/2 the pointer at A is either parallel arc, so q_2 is idle
+    res = optimize_counting(spike, 0.5, "A")
+    assert res.policy.q_by_degree[3] == pytest.approx(
+        star_optimal_trust(3, 0.5), abs=1e-6)
+    assert res.value == pytest.approx(
+        expected_time(spike, 0.5, ByDegree({2: 0.5, 3: star_optimal_trust(3, 0.5)}),
+                      "A"), rel=1e-12)
 
 
 def test_counting_tree_reproduces_closed_form(tree):
