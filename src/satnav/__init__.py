@@ -63,8 +63,6 @@ from .closed_form import (
 from .optimize import (
     Diagnostics,
     OptimizationResult,
-    golden_section,
-    minimize_scalar_grid,
     optimize_counting,
     optimize_uniform,
     trust_curve,

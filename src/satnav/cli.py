@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -112,6 +113,10 @@ def _parse_grid(text: str) -> list[float]:
         raise ValidationError(
             f"bad grid {text!r}: expected lo:hi:step"
         ) from None
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValidationError(
+            f"bad grid {text!r}: lo, hi and step must be finite"
+        )
     if step <= 0 or hi < lo:
         raise ValidationError(f"bad grid {text!r}: need lo <= hi and step > 0")
     grid = []

@@ -112,9 +112,7 @@ def bridge_M(n: int, p: float, q: float) -> float:
 def star_time(s: StarSpec, p: float, q: float) -> float:
     """Expected time from the star center to home under trust q."""
     _check_open_unit("trust q", q)
-    coeff = (2.0 * p - 4.0 * q + 2.0 * q * q + 2.0 * s.n * q
-             - 2.0 * s.n * p * q) / (q * (1.0 - q) * (s.n - 1))
-    return s.c + coeff * s.alpha
+    return s.c + 2.0 * bridge_M(s.n, p, q) * s.alpha
 
 
 def bridge_time(b: BridgeSpec, p: float, q: float) -> float:
@@ -143,7 +141,8 @@ def line_increment(lengths: Sequence[float], j: int, p: float,
 
     lengths[i] is the arc between nodes i and i+1. Built by the recursion
     S(0) = a_0, S(j) = a_j + (a_{j-1} + S(j-1)) z: wandering left of j costs
-    a round trip whose far side is the previous increment.
+    a round trip whose far side is the previous increment. Every length
+    it reads must be finite and positive.
     """
     if j < 0:
         raise ValidationError(f"node index j={j} must be >= 0")
@@ -152,10 +151,16 @@ def line_increment(lengths: Sequence[float], j: int, p: float,
             f"increment from node {j} needs {j + 1} arc lengths, "
             f"got {len(lengths)}"
         )
+    a = [float(x) for x in lengths[:j + 1]]
+    for i, x in enumerate(a):
+        if not (math.isfinite(x) and x > 0):
+            raise ValidationError(
+                f"arc {i} has length {x}; lengths must be finite and positive"
+            )
     z = line_z(p, q)
-    s = float(lengths[0])
+    s = a[0]
     for m in range(1, j + 1):
-        s = float(lengths[m]) + (float(lengths[m - 1]) + s) * z
+        s = a[m] + (a[m - 1] + s) * z
     return s
 
 

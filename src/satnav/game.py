@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import (DegeneratePolicy, OutOfRange, ValidationError,
                      check_probability)
-from .optimize import minimize_scalar_grid
 
-RESPONSE_TOL = 1e-6  # golden-section bracket of a best response
 MAX_ROUNDS = 10_000  # time steps before simulate_game gives up on a play
 
 
@@ -170,24 +168,55 @@ def asymmetric_equilibrium(p: float) -> GameSolution:
     return GameSolution(Regime.ASYM_MID_P, asymmetric_q_mid(p), 0.5, value)
 
 
+# In the responder's own trust x, each payoff is p (a1 + b1 x)/(c1 + d1 x)
+# + (1 - p) (a2 + b2 x)/(c2 + d2 x): the correct- and the wrong-pointer
+# term. These are their coefficients (a, b, c, d) as functions of the
+# opponent's trust o.
+_RESPONSE_TERMS = {
+    ("symmetric", "II"): lambda o: ((2 * o, -o, 2 * o, 2 * (1 - o)),
+                                    (1 - o, 1 - o, 2.0, -2 * o)),
+    ("symmetric", "I"): lambda o: ((0.0, 2 - o, 2 * o, 2 * (1 - o)),
+                                   (1 + o, -(1 + o), 2.0, -2 * o)),
+    ("asymmetric", "II"): lambda o: ((o, 0.0, o, 1 - o),
+                                     (1 - o, 0.0, 1.0, -o)),
+    ("asymmetric", "I"): lambda o: ((0.0, 1.0, o, 1 - o),
+                                    (1.0, -1.0, 1.0, -o)),
+}
+
+
 def best_response(p: float, mode: str, player: str, opponent: float) -> float:
     """One player's payoff-optimal trust against a fixed opponent trust.
 
     `player` is "I" (maximizes the payoff over q) or "II" (minimizes it
-    over r). The opponent trust must be interior so every response in
-    [0, 1] has a well-defined payoff.
+    over r). The opponent trust must be interior, so every denominator
+    c + d x is positive on [0, 1] and term i has derivative
+    K_i / (c_i + d_i x)^2 with K_i = b_i c_i - a_i d_i. With k_i the
+    weighted K_i, the payoff's derivative vanishes at most once, only when
+    k1 k2 < 0: where c2 + d2 x = t (c1 + d1 x), t = sqrt(-k2 / k1). The
+    answer is whichever of 0, 1 and that root scores best; a tie goes to
+    the smaller trust.
     """
     payoff = _payoff_fn(mode)
+    if player not in ("I", "II"):
+        raise ValidationError(f"unknown player {player!r}")
     if not 0.0 < opponent < 1.0:
         raise ValidationError("opponent trust must be interior to (0, 1)")
+    check_probability("reliability p", p)
     if player == "I":
         f = lambda q: -payoff(p, q, opponent)
-    elif player == "II":
-        f = lambda r: payoff(p, opponent, r)
     else:
-        raise ValidationError(f"unknown player {player!r}")
-    x, _, _ = minimize_scalar_grid(f, 0.0, 1.0, tol=RESPONSE_TOL)
-    return x
+        f = lambda r: payoff(p, opponent, r)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = _RESPONSE_TERMS[mode, player](opponent)
+    k1 = p * (b1 * c1 - a1 * d1)
+    k2 = (1.0 - p) * (b2 * c2 - a2 * d2)
+    candidates = [0.0, 1.0]
+    if k1 * k2 < 0.0:
+        t = math.sqrt(-k2 / k1)
+        if d2 != t * d1:
+            root = (t * c1 - c2) / (d2 - t * d1)
+            if 0.0 < root < 1.0:
+                candidates.insert(1, root)
+    return min(candidates, key=f)
 
 
 def _payoff_fn(mode: str):

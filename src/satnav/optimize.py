@@ -16,17 +16,13 @@ counting-mode searches score the exact endpoints with `expected_time` and
 keep one that wins the grid while the derivative there points outward; an
 endpoint that strands the walk has infinite expected time and loses
 automatically.
-
-`minimize_scalar_grid` (grid, then golden section) is the search for
-closed-form objectives such as the game's payoffs.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .closed_form import star_optimal_trust
 from .errors import NonConvergence, ValidationError
@@ -39,14 +35,13 @@ COORDINATE_TOL = 1e-6  # coordinate descent stops once no trust moves more
 MAX_SWEEPS = 100
 NEWTON_TOL = 1e-10  # a trust search stops once its bracket is this narrow
 MAX_NEWTON = 100
-_INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Diagnostics:
     grid_points: int
-    iterations: int  # golden-section or Newton steps
+    iterations: int  # Newton steps
     residual: float  # width of the final bracket of the refinement
 
 
@@ -58,36 +53,7 @@ class OptimizationResult:
     diagnostics: Diagnostics
 
 
-def _golden(f, lo, hi, tol):
-    a, b = lo, hi
-    c = b - _INVGOLD * (b - a)
-    d = a + _INVGOLD * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while b - a > tol:
-        iterations += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVGOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVGOLD * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd), iterations, b - a
-
-
-def golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float, int]:
-    """Minimize a unimodal f on [lo, hi]; returns (x, f(x), iterations)."""
-    return _golden(f, lo, hi, tol)[:3]
-
-
 def _grid(lo: float, hi: float, points: int) -> list[float]:
-    if points < 3:
-        raise ValidationError("grid needs at least 3 points")
     step = (hi - lo) / (points - 1)
     return [lo + i * step for i in range(points - 1)] + [hi]
 
@@ -98,46 +64,6 @@ def _grid_winner(grid: list[float], values: Sequence[float]) -> int:
     best = min(range(len(grid)), key=lambda i: (values[i], grid[i]))
     return next(i for i in range(best + 1)
                 if values[i] <= values[best] + _TIE_TOL)
-
-
-def minimize_scalar_grid(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_points: int = 101,
-    tol: float = 1e-10,
-) -> tuple[float, float, Diagnostics]:
-    """Coarse grid, then golden section inside the winning bracket.
-
-    Grid ties within 1e-12 resolve toward the smaller argument so results
-    are deterministic. If a grid endpoint wins outright it is returned
-    exactly (the bracket refinement cannot beat it).
-    """
-    grid = _grid(lo, hi, grid_points)
-    values = [f(x) for x in grid]
-    best = _grid_winner(grid, values)
-    blo = grid[max(best - 1, 0)]
-    bhi = grid[min(best + 1, grid_points - 1)]
-    x, fx, iterations, width = _golden(f, blo, bhi, tol)
-    # Near a smooth minimum the golden bracket is limited by function-value
-    # noise; one guarded parabolic vertex fit recovers several digits. The
-    # acceptance allowance is a few ulps: at the noise floor the vertex can
-    # be closer to the minimizer without a smaller function value.
-    h = (hi - lo) * 1e-5
-    if x - h > lo and x + h < hi:
-        f_minus, f_plus = f(x - h), f(x + h)
-        curvature = f_plus - 2.0 * fx + f_minus
-        if curvature > 0.0:
-            vertex = x + h * (f_minus - f_plus) / (2.0 * curvature)
-            if abs(vertex - x) <= h:
-                f_vertex = f(vertex)
-                if f_vertex <= fx + 64.0 * sys.float_info.epsilon * max(
-                    1.0, abs(fx)
-                ):
-                    x, fx = vertex, f_vertex
-    if values[best] <= fx:
-        x, fx = grid[best], values[best]
-    return x, fx, Diagnostics(grid_points, iterations, width)
 
 
 def _exact(line: TrustLine, q: float) -> float:

@@ -208,6 +208,32 @@ def test_counts_below_one_exit_two(capsys, args):
     assert out == ""
 
 
+@pytest.mark.parametrize("lengths", ["-1,2,3", "nan,2,3", "inf,2"])
+def test_line_bad_lengths_exit_two(capsys, lengths):
+    code, out, err = run_cli(capsys, "line", "--p", "0.75", "--max-j", "2",
+                             f"--lengths={lengths}")
+    assert code == 2
+    assert "finite and positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("game", "--mode", "symmetric", "--curve", "nan:0.6:0.05"),
+    ("optimize", "--fixture", "tree", "--start", "A",
+     "--curve", "0.5:inf:0.1"),
+    ("optimize", "--star", "3", "--curve", "0.5:0.9:nan"),
+], ids=["nan-lo", "inf-hi", "nan-step"])
+def test_non_finite_grid_exits_two(args):
+    # in a subprocess with a timeout, so that a grid that never ends fails
+    # the test instead of hanging the suite (such a run grows its list by
+    # about 90 MB a second, so the timeout is short)
+    proc = subprocess.run([sys.executable, "-m", "satnav", *args],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_outputs_are_reproducible(capsys):
     args = ("solve", "--fixture", "triangle", "--p", "0.75", "--q", "0.68",
             "--start", "A", "--simulate", "5000", "--seed", "11")

@@ -68,10 +68,10 @@ def test_symmetric_equilibrium_is_best_response_fixed_point():
     for p in (0.55, 2 / 3, 0.8):
         q = symmetric_equilibrium(p).q_star
         assert best_response(p, "symmetric", "II", q) == pytest.approx(
-            q, abs=1e-6
+            q, abs=1e-12
         )
         assert best_response(p, "symmetric", "I", q) == pytest.approx(
-            q, abs=1e-6
+            q, abs=1e-12
         )
 
 
@@ -189,14 +189,42 @@ def test_asymmetric_degenerate_pairs():
 # ------------------------------------------------------- response curves
 
 def test_response_to_half_is_interior_optimum():
-    p = 2 / 3
-    q_mid = asymmetric_q_mid(p)
-    assert best_response(p, "asymmetric", "I", 0.5) == pytest.approx(
-        q_mid, abs=1e-6
-    )
-    assert best_response(p, "asymmetric", "II", q_mid) == pytest.approx(
-        0.5, abs=1e-6
-    )
+    for p in (0.55, 2 / 3, 0.75):
+        q_mid = asymmetric_q_mid(p)
+        assert best_response(p, "asymmetric", "I", 0.5) == pytest.approx(
+            q_mid, abs=1e-12
+        )
+        assert best_response(p, "asymmetric", "II", q_mid) == pytest.approx(
+            0.5, abs=1e-12
+        )
+
+
+def _payoff_on(mode, p, q, r):
+    """The payoff of `mode` with q or r an array of trusts, evaluated as
+    `symmetric_payoff` and `asymmetric_payoff` do for interior opponents."""
+    if mode == "symmetric":
+        return (p * (2.0 * q - q * r) / (2.0 * (q + r - q * r))
+                + (1.0 - p) * (1.0 - q + r - q * r) / (2.0 * (1.0 - q * r)))
+    return p * q / (q + r - q * r) + (1.0 - p) * (1.0 - q) / (1.0 - q * r)
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("player", ["I", "II"])
+def test_best_response_beats_a_fine_grid(mode, player):
+    """No trust on a 10,001-point grid scores better than the closed-form
+    reply, up to 4 ulps: where a grid point sits on the exact root, the
+    rounded root can score an ulp or two worse (at most 2.2e-16 seen)."""
+    grid = np.linspace(0.0, 1.0, 10_001)
+    for p in np.linspace(0.0, 1.0, 11):
+        for opponent in np.linspace(0.1, 0.9, 9):
+            x = np.array([best_response(p, mode, player, opponent)])
+            if player == "I":
+                best = -_payoff_on(mode, p, x, opponent)[0]
+                values = -_payoff_on(mode, p, grid, opponent)
+            else:
+                best = _payoff_on(mode, p, opponent, x)[0]
+                values = _payoff_on(mode, p, opponent, grid)
+            assert values.min() >= best - 4 * math.ulp(best), (p, opponent)
 
 
 def test_response_to_interior_trust_is_not_that_trust():
@@ -238,6 +266,8 @@ def test_response_curves_validate():
         best_response_curves(0.7, "bogus", [0.5])
     with pytest.raises(ValidationError):
         best_response(0.7, "asymmetric", "III", 0.5)
+    with pytest.raises(ValidationError):
+        best_response(math.nan, "symmetric", "I", 0.5)
 
 
 # ------------------------------------------------------------ simulation

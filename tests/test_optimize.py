@@ -12,8 +12,6 @@ from satnav import (
     build_network,
     enumerate_direction_space,
     expected_time,
-    golden_section,
-    minimize_scalar_grid,
     optimize_counting,
     optimize_uniform,
     star_optimal_trust,
@@ -23,39 +21,8 @@ from satnav import (
 from conftest import star_network
 from satnav import fixtures as fx
 from satnav.network import classify
-from satnav.optimize import EPS, _grid, _search
+from satnav.optimize import EPS, _grid, _grid_winner, _search
 from satnav.solver import TrustLine
-
-
-def test_golden_section_quadratic():
-    x, fx, _ = golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, tol=1e-12)
-    assert x == pytest.approx(0.3, abs=1e-10)
-    assert fx == pytest.approx(0.0, abs=1e-12)
-
-
-def test_minimize_scalar_grid_finds_global_minimum():
-    # two separated local minima; the grid must pick the deeper one
-    f = lambda t: min((t - 0.2) ** 2 + 0.1, (t - 0.8) ** 2)
-    x, _, _ = minimize_scalar_grid(f, 0.0, 1.0)
-    assert x == pytest.approx(0.8, abs=1e-8)
-
-
-def test_minimize_scalar_grid_tie_breaks_to_smaller_argument():
-    # perfectly symmetric double well: deterministic choice of the left one
-    f = lambda t: ((t - 0.25) * (t - 0.75)) ** 2
-    x, _, _ = minimize_scalar_grid(f, 0.0, 1.0)
-    assert x == pytest.approx(0.25, abs=1e-8)
-
-
-def test_minimize_scalar_grid_keeps_winning_endpoint():
-    x, fx, _ = minimize_scalar_grid(lambda t: -t, 0.0, 1.0)
-    assert x == 1.0
-    assert fx == -1.0
-
-
-def test_minimize_scalar_grid_reports_the_final_bracket():
-    _, _, diag = minimize_scalar_grid(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
-    assert 0.0 < diag.residual <= 1e-10
 
 
 def trust_lines(p):
@@ -129,6 +96,13 @@ def test_search_keeps_an_end_whose_derivative_points_outward(c, end):
     assert q == end
     assert line.seen == [end]  # no trust closer to the end is evaluated
     assert (diag.iterations, diag.residual) == (1, 0.0)
+
+
+def test_grid_winner_ties_go_to_the_smaller_trust():
+    # values within 1e-12 of the least tie; the first of them wins
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert _grid_winner(grid, [3.0, 1.0 + 5e-13, 2.0, 1.0, 1.0]) == 1
+    assert _grid_winner(grid, [3.0, 1.0 + 2e-12, 2.0, 1.0, 1.0]) == 3
 
 
 def test_uniform_search_reports_its_final_bracket(tree):
