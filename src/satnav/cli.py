@@ -38,6 +38,10 @@ from .solver import (
 
 _DEGREE_FLAGS = range(2, 9)
 
+# The most points a --curve grid may hold. A grid is built point by point,
+# so without this bound a tiny step would run until memory runs out.
+MAX_GRID_POINTS = 100_000
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -62,10 +66,14 @@ def _out_stream(path):
             yield fh
 
 
-def _emit(fh, argv, seed, header, rows):
+def _write_comments(fh, argv, seed):
     fh.write(f"# command: satnav {' '.join(argv)}\n")
     fh.write(f"# seed: {seed}\n")
     fh.write(f"# version: {__version__}\n")
+
+
+def _emit(fh, argv, seed, header, rows):
+    _write_comments(fh, argv, seed)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -119,6 +127,10 @@ def _parse_grid(text: str) -> list[float]:
         )
     if step <= 0 or hi < lo:
         raise ValidationError(f"bad grid {text!r}: need lo <= hi and step > 0")
+    if (hi - lo) / step > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"bad grid {text!r}: more than {MAX_GRID_POINTS} points"
+        )
     grid = []
     k = 0
     while True:
@@ -193,7 +205,6 @@ def cmd_optimize(args, argv) -> int:
 def cmd_line(args, argv) -> int:
     if args.p is None:
         raise ValidationError("--p is required")
-    rows = []
     if args.lengths:
         try:
             lengths = [float(part) for part in args.lengths.split(",")]
@@ -205,6 +216,17 @@ def cmd_line(args, argv) -> int:
             raise ValidationError(
                 f"--max-j {args.max_j} needs at least {args.max_j} arc lengths"
             )
+    elif args.q is not None:
+        lengths = [1.0] * (args.max_j + 1)
+    else:
+        lengths = None  # unit arcs at the optimal trust: the closed form
+    rows = []
+    if lengths is None:
+        for j in range(1, args.max_j + 1):
+            cross = closed_form.unit_line_cross_time(j, args.p)
+            nxt = closed_form.unit_line_cross_time(j + 1, args.p)
+            rows.append([j, cross, nxt - cross])
+    else:
         q = args.q if args.q is not None else closed_form.star_optimal_trust(
             2, args.p)
         for j in range(1, args.max_j + 1):
@@ -214,19 +236,6 @@ def cmd_line(args, argv) -> int:
             else:
                 inc = ""
             rows.append([j, cross, inc])
-    else:
-        if args.q is not None:
-            q = args.q
-            for j in range(1, args.max_j + 1):
-                rows.append([j,
-                             closed_form.line_cross_time([1.0] * j, j, args.p, q),
-                             closed_form.line_increment([1.0] * (j + 1), j,
-                                                        args.p, q)])
-        else:
-            for j in range(1, args.max_j + 1):
-                cross = closed_form.unit_line_cross_time(j, args.p)
-                nxt = closed_form.unit_line_cross_time(j + 1, args.p)
-                rows.append([j, cross, nxt - cross])
     with _out_stream(args.out) as fh:
         _emit(fh, argv, args.seed, ["j", "cross_time", "increment"], rows)
     return 0
@@ -240,9 +249,9 @@ def cmd_game(args, argv) -> int:
         grid = [(i + 1) / (n + 1) for i in range(n)]
         curves = game.best_response_curves(args.p, args.mode, grid)
         rows = [[args.mode, args.p, "q", g, r]
-                for g, r in zip(curves.opponent_q, curves.best_r)]
+                for g, r in zip(curves.opponent, curves.best_r)]
         rows += [[args.mode, args.p, "r", g, q]
-                 for g, q in zip(curves.opponent_r, curves.best_q)]
+                 for g, q in zip(curves.opponent, curves.best_q)]
         header = ["mode", "p", "variable", "opponent_trust", "best_response"]
     else:
         p_values = _parse_grid(args.curve) if args.curve else [args.p]
@@ -266,9 +275,7 @@ def cmd_fixtures(args, argv) -> int:
     if args.name:
         net = fixtures.fixture(args.name)
         with _out_stream(args.out) as fh:
-            fh.write(f"# command: satnav {' '.join(argv)}\n")
-            fh.write(f"# seed: {args.seed}\n")
-            fh.write(f"# version: {__version__}\n")
+            _write_comments(fh, argv, args.seed)
             fh.write(network_to_text(net))
         return 0
     if args.write:

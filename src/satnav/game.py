@@ -50,10 +50,9 @@ class GameSolution:
 class ResponseCurves:
     p: float
     mode: str
-    opponent_q: tuple[float, ...]
-    best_r: tuple[float, ...]  # II's reply to each q
-    opponent_r: tuple[float, ...]
-    best_q: tuple[float, ...]  # I's reply to each r
+    opponent: tuple[float, ...]  # the grid of opponent trusts
+    best_r: tuple[float, ...]  # II's reply to each opponent trust q
+    best_q: tuple[float, ...]  # I's reply to each opponent trust r
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def best_response_curves(p: float, mode: str,
         raise ValidationError("response grid must lie strictly in (0, 1)")
     best_r = tuple(best_response(p, mode, "II", g) for g in pts)
     best_q = tuple(best_response(p, mode, "I", g) for g in pts)
-    return ResponseCurves(p, mode, pts, best_r, pts, best_q)
+    return ResponseCurves(p, mode, pts, best_r, best_q)
 
 
 def simulate_game(

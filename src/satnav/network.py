@@ -303,25 +303,42 @@ def parse_network_text(text: str) -> Network:
 def _parse_network_json(text: str) -> Network:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise ValidationError(f"bad JSON network description: {exc}") from None
     if not isinstance(obj, dict) or "home" not in obj or "arcs" not in obj:
         raise ValidationError("JSON network needs 'home' and 'arcs' fields")
+    if not isinstance(obj["arcs"], list):
+        raise ValidationError("JSON network 'arcs' must be a list of arcs")
     arcs = []
     for i, entry in enumerate(obj["arcs"]):
-        try:
-            arcs.append(
-                Arc(str(entry["id"]), str(entry["u"]), str(entry["v"]),
-                    float(entry["length"]))
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"arcs[{i}]: expected an object with fields id, u, v, length"
             )
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"arcs[{i}]: missing field {exc}") from None
+        for key in ("id", "u", "v", "length"):
+            if key not in entry:
+                raise ValidationError(f"arcs[{i}]: missing field {key!r}")
+        try:
+            length = float(entry["length"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"arcs[{i}]: bad arc length {entry['length']!r}"
+            ) from None
+        arcs.append(
+            Arc(str(entry["id"]), str(entry["u"]), str(entry["v"]), length)
+        )
     return Network(arcs, str(obj["home"]))
 
 
 def parse_network_file(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_network_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"network file {path} is not UTF-8 text ({exc})"
+        ) from None
+    return parse_network_text(text)
 
 
 def network_to_text(net: Network) -> str:

@@ -112,6 +112,25 @@ def test_solve_non_finite_arc_length_exits_two(tmp_path, capsys, length):
     assert out == ""
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"home": "H", "arcs": 5}', "'arcs' must be a list"),
+    (b'{"home": "H", "arcs": [{"id": "e", "u": "A", "v": "H", '
+     b'"length": "abc"}]}', "bad arc length 'abc'"),
+    (b'{"home": "H", "arcs": ["e A H 1"]}', "expected an object"),
+    (b"home H\narc e A H 1\xff\n", "not UTF-8 text"),
+], ids=["arcs-not-a-list", "length-not-a-number", "arc-not-an-object",
+        "not-utf8"])
+def test_malformed_network_file_exits_two(tmp_path, capsys, content,
+                                          message):
+    path = tmp_path / "net.txt"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "solve", "--net", str(path),
+                             "--p", "0.5", "--q", "0.5", "--start", "A")
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("args", [
     ("optimize", "--fixture", "line7", "--p", "0.75", "--start", "0"),
     ("solve", "--fixture", "line5", "--p", "1", "--q", "1e-12", "--start", "0"),
@@ -234,6 +253,17 @@ def test_non_finite_grid_exits_two(args):
     assert proc.stdout == ""
 
 
+def test_grid_with_too_many_points_exits_two():
+    # a subprocess with a timeout, as above: without the point cap this
+    # grid's loop would never end
+    proc = subprocess.run([sys.executable, "-m", "satnav", "game", "--mode",
+                           "symmetric", "--curve", "0.5:0.9:1e-300"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "points" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_outputs_are_reproducible(capsys):
     args = ("solve", "--fixture", "triangle", "--p", "0.75", "--q", "0.68",
             "--start", "A", "--simulate", "5000", "--seed", "11")
@@ -282,14 +312,48 @@ A,C,0.75,q=1,inf,2.31125,0.0163799320692,200
 """
 
 
-@pytest.mark.parametrize("golden", [GOLDEN_SPIKE, GOLDEN_TRIANGLE_BLOCKED],
-                         ids=["spike", "triangle-blocked"])
-def test_solve_golden_bytes(capsys, golden):
+GOLDEN_LINE_UNIT = """\
+# command: satnav line --p 0.75 --q 0.6 --max-j 6
+# seed: 0
+# version: 0.1.0
+j,cross_time,increment
+1,1,2.75
+2,3.75,4.28125
+3,8.03125,5.62109375
+4,13.65234375,6.79345703125
+5,20.4458007813,7.81927490234
+6,28.2650756836,8.71686553955
+"""
+
+GOLDEN_LINE_LENGTHS = """\
+# command: satnav line --p 0.75 --lengths 1,2,3,1 --max-j 3
+# seed: 0
+# version: 0.1.0
+j,cross_time,increment
+1,1,3.73205080757
+2,4.73205080757,7.96410161514
+3,12.6961524227,10.4951905284
+"""
+
+
+def assert_golden(capsys, golden):
     argv = golden.splitlines()[0].removeprefix("# command: satnav ").split()
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert err == ""
     assert out == golden
+
+
+@pytest.mark.parametrize("golden", [GOLDEN_SPIKE, GOLDEN_TRIANGLE_BLOCKED],
+                         ids=["spike", "triangle-blocked"])
+def test_solve_golden_bytes(capsys, golden):
+    assert_golden(capsys, golden)
+
+
+@pytest.mark.parametrize("golden", [GOLDEN_LINE_UNIT, GOLDEN_LINE_LENGTHS],
+                         ids=["unit-arcs", "lengths"])
+def test_line_golden_bytes(capsys, golden):
+    assert_golden(capsys, golden)
 
 
 def test_optimize_star_table_entry(capsys):

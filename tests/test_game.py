@@ -248,7 +248,7 @@ def test_first_order_sign_change():
 
 def test_response_curves_tables():
     curves = best_response_curves(2 / 3, "asymmetric", [0.3, 0.5, 0.7])
-    assert curves.opponent_q == (0.3, 0.5, 0.7)
+    assert curves.opponent == (0.3, 0.5, 0.7)
     assert len(curves.best_r) == 3
     assert all(0.0 <= r <= 1.0 for r in curves.best_r)
     # player I's reply to r = 1/2 appears in the table

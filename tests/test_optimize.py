@@ -226,6 +226,16 @@ def test_curve_tree_start_ordering(tree):
         assert ra.policy.q > rb.policy.q
 
 
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 0.9])
+def test_tree_degree_trusts_bracket_the_uniform_trusts(tree, p):
+    # the searcher who counts exits trusts the degree-2 pointer more, and
+    # the degree-3 pointer less, than the uniform searcher from either start
+    q_a = optimize_uniform(tree, p, "A").policy.q
+    q_b = optimize_uniform(tree, p, "B").policy.q
+    counting = optimize_counting(tree, p, "A").policy.q_by_degree
+    assert counting[3] < q_b < q_a < counting[2]
+
+
 def test_curve_c4_depends_on_start(c4):
     res_a = optimize_uniform(c4, 0.75, "A")
     res_c = optimize_uniform(c4, 0.75, "C")
