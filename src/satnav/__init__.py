@@ -54,6 +54,7 @@ from .closed_form import (
     line_coefficients,
     line_cross_time,
     line_increment,
+    line_increments,
     line_z,
     star_optimal_trust,
     star_time,

@@ -38,8 +38,9 @@ from .solver import (
 
 _DEGREE_FLAGS = range(2, 9)
 
-# The most points a --curve grid may hold. A grid is built point by point,
-# so without this bound a tiny step would run until memory runs out.
+# The most points a --curve grid, and rows `line --max-j`, may hold. Both
+# are built point by point, so without this bound a tiny step or a huge
+# --max-j would run until memory runs out.
 MAX_GRID_POINTS = 100_000
 
 
@@ -205,6 +206,10 @@ def cmd_optimize(args, argv) -> int:
 def cmd_line(args, argv) -> int:
     if args.p is None:
         raise ValidationError("--p is required")
+    if args.max_j > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"--max-j {args.max_j} exceeds the limit of {MAX_GRID_POINTS} rows"
+        )
     if args.lengths:
         try:
             lengths = [float(part) for part in args.lengths.split(",")]
@@ -229,13 +234,14 @@ def cmd_line(args, argv) -> int:
     else:
         q = args.q if args.q is not None else closed_form.star_optimal_trust(
             2, args.p)
+        # increments 0..max_j, as far as the lengths reach; crossing time j
+        # sums the first j of them in order
+        incs = closed_form.line_increments(
+            lengths, min(args.max_j + 1, len(lengths)), args.p, q)
+        cross = 0
         for j in range(1, args.max_j + 1):
-            cross = closed_form.line_cross_time(lengths, j, args.p, q)
-            if j < len(lengths):
-                inc = closed_form.line_increment(lengths, j, args.p, q)
-            else:
-                inc = ""
-            rows.append([j, cross, inc])
+            cross += incs[j - 1]
+            rows.append([j, cross, incs[j] if j < len(incs) else ""])
     with _out_stream(args.out) as fh:
         _emit(fh, argv, args.seed, ["j", "cross_time", "increment"], rows)
     return 0

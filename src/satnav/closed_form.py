@@ -135,15 +135,41 @@ def line_coefficients(p: float) -> LineCoefficients:
     return LineCoefficients(line_z(p, q), q)
 
 
+def line_increments(lengths: Sequence[float], count: int, p: float,
+                    q: float) -> list[float]:
+    """Expected times from node j to node j+1 on the half-line 0-1-2-...,
+    for every j < count, in one pass of the recursion
+    S(0) = a_0, S(j) = a_j + (a_{j-1} + S(j-1)) z: wandering left of j
+    costs a round trip whose far side is the previous increment.
+
+    lengths[i] is the arc between nodes i and i+1. Each length is checked
+    as the pass reaches it, and must be finite and positive; the trust is
+    checked once the first length has passed.
+    """
+    a = [float(x) for x in lengths[:count]]
+    out: list[float] = []
+    for m, x in enumerate(a):
+        if not (math.isfinite(x) and x > 0):
+            raise ValidationError(
+                f"arc {m} has length {x}; lengths must be finite and positive"
+            )
+        if m == 0:
+            z = line_z(p, q)
+            out.append(x)
+        else:
+            out.append(x + (a[m - 1] + out[-1]) * z)
+    if len(a) < count:
+        raise ValidationError(
+            f"increment from node {len(a)} needs {len(a) + 1} arc lengths, "
+            f"got {len(lengths)}"
+        )
+    return out
+
+
 def line_increment(lengths: Sequence[float], j: int, p: float,
                    q: float) -> float:
-    """Expected time from node j to node j+1 on the half-line 0-1-2-...
-
-    lengths[i] is the arc between nodes i and i+1. Built by the recursion
-    S(0) = a_0, S(j) = a_j + (a_{j-1} + S(j-1)) z: wandering left of j costs
-    a round trip whose far side is the previous increment. Every length
-    it reads must be finite and positive.
-    """
+    """Expected time from node j to node j+1 on the half-line 0-1-2-...;
+    see `line_increments`."""
     if j < 0:
         raise ValidationError(f"node index j={j} must be >= 0")
     if len(lengths) < j + 1:
@@ -151,26 +177,17 @@ def line_increment(lengths: Sequence[float], j: int, p: float,
             f"increment from node {j} needs {j + 1} arc lengths, "
             f"got {len(lengths)}"
         )
-    a = [float(x) for x in lengths[:j + 1]]
-    for i, x in enumerate(a):
-        if not (math.isfinite(x) and x > 0):
-            raise ValidationError(
-                f"arc {i} has length {x}; lengths must be finite and positive"
-            )
-    z = line_z(p, q)
-    s = a[0]
-    for m in range(1, j + 1):
-        s = a[m] + (a[m - 1] + s) * z
-    return s
+    return line_increments(lengths, j + 1, p, q)[j]
 
 
 def line_cross_time(lengths: Sequence[float], j: int, p: float,
                     q: float) -> float:
-    """Expected time from node 0 to node j: the increments summed, so the
-    telescoping identity with line_increment is exact by construction."""
+    """Expected time from node 0 to node j: the increments summed in order,
+    so the telescoping identity with line_increment is exact by
+    construction."""
     if j < 0:
         raise ValidationError(f"node index j={j} must be >= 0")
-    return sum(line_increment(lengths, m, p, q) for m in range(j))
+    return sum(line_increments(lengths, j, p, q))
 
 
 def unit_line_cross_time(j: int, p: float) -> float:

@@ -3,9 +3,10 @@ for degree-indexed trusts, and optimal-trust-vs-reliability curves.
 
 Expected time is smooth in the trust but not proven unimodal on arbitrary
 networks, so every trust search scores a coarse grid first and refines only
-inside the winning bracket. Both run on a `TrustLine`: per block of
-directions, one gather of the affine systems serves every grid trust, and
-the same matrices give the exact first and second derivatives for a
+inside the winning bracket. Both run on a `TrustLine`, a subtraction-free
+elimination shared across pointer prefixes that makes no LAPACK call: one
+pass scores every grid trust, and one pass carrying Taylor coefficients
+gives the exact first and second derivatives for a
 safeguarded Newton iteration on dE/dq = 0. The reported value is one
 `expected_time` at the chosen trust. Uniform-mode searches stay inside
 [eps, 1-eps]: expected time diverges at both trust endpoints when a branch

@@ -188,7 +188,7 @@ class StepTable:
         """Per table row, its row of I - P over the non-home nodes and the
         expected length of one step; an identity row of length 0 per
         non-home node follows the table."""
-        return assemble(self.form, self.probs, 1.0)
+        return assemble(self.form, self.probs)
 
     def table_rows(self, slots) -> tuple[np.ndarray, np.ndarray]:
         """Per direction (row of `slots`): the row of `system` for each
@@ -221,22 +221,21 @@ class StepTable:
         return self._finite[key]
 
 
-def assemble(form: CompiledNetwork, probs: np.ndarray, diagonal: float
+def assemble(form: CompiledNetwork, probs: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of diagonal * I - P over the non-home nodes and the expected
-    one-step lengths, for step chances `probs` per table row (slots add in
-    order, as arcs would); then diagonal * I with lengths 0, the rows of
-    the nodes of infinite time. With diagonal 0 and the derivative of
-    `probs`, this is the derivative of the system."""
+    """Rows of I - P over the non-home nodes and the expected one-step
+    lengths, for step chances `probs` per table row (slots add in order, as
+    arcs would); then I with lengths 0, the rows of the nodes of infinite
+    time."""
     every = np.arange(len(probs))
     rows = np.zeros((len(every), len(form.nonhome) + 1))
-    rows[every, form.col[form.row_node]] = diagonal
+    rows[every, form.col[form.row_node]] = 1.0
     rhs = np.zeros(len(every))
     alen, dcol = form.alen[form.row_node], form.col[form.dest[form.row_node]]
     for s in range(probs.shape[1]):
         rhs += probs[:, s] * alen[:, s]
         rows[every, dcol[:, s]] -= probs[:, s]
-    return (np.vstack([rows[:, :-1], diagonal * np.eye(len(form.nonhome))]),
+    return (np.vstack([rows[:, :-1], np.eye(len(form.nonhome))]),
             np.concatenate([rhs, np.zeros(len(form.nonhome))]))
 
 

@@ -14,10 +14,13 @@ pointer configurations are exact infinities rather than solver blow-ups.
 A solve that fails in LAPACK or returns a negative or NaN time raises
 SingularSystem instead of answering.
 
-Along one trust coordinate every system is affine in the trust, so a
-`TrustLine` gathers intercept and slope once per block of directions for
-all the trusts of an optimizer's search, and gives the exact first and
-second derivatives of the expected time from the same matrices.
+The optimizer's trust search runs on a second engine, `TrustLine`, that
+solves no linear system: it eliminates the nodes one at a time by sums that
+never subtract (GTH elimination), shares the work of every pointer prefix
+across the directions that extend it, and carries every trust of a search,
+or the first and second derivatives at one trust, through the same pass.
+It stays accurate at the trusts near 0 and 1 where the dense LU loses a
+near trap's escape mass.
 
 A vectorized Monte Carlo walker provides an independent check on all of the
 exact machinery.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -38,18 +41,19 @@ from .pointers import (
     ENUMERATION_CAP,
     StepTable,
     WeightedDirectionSpace,
-    assemble,
     compile_network,
     enumerate_direction_space,
+    pointer_table,
     sample_pointer_slots,
     step_table,
 )
 
 BLOCK = 1024  # directions per stacked solve in expected_profile
-# directions per gathered block of a TrustLine; it keeps intercept, slope
-# and one trust's system per block, so it is smaller than BLOCK to hold
-# the search's peak memory near the exact path's
-TRUST_BLOCK = 256
+# the most final states (directions x trusts x Taylor coefficients) that a
+# TrustLine eliminates at once; more run in halves of the states, so that
+# the search's peak memory stays near the exact path's at any number of
+# directions
+STATE_BUDGET = 2**12
 
 
 @dataclass(frozen=True)
@@ -241,79 +245,195 @@ def expected_time_between(
 
 
 class TrustLine:
-    """The hitting-time systems of every direction of `space` along one
+    """Expected time from `start` over every direction of `space` along one
     trust coordinate, `policy_at(q)`: every branch row under `Uniform`, the
-    rows of one degree under `ByDegree`; expected times are read at `start`.
+    rows of one degree under `ByDegree`. No linear system is solved.
 
-    Each table row's row of I - P and one-step length are intercept + q *
-    slope. The intercept is the system at q = 0; the slope is assembled
-    from the step chances at q = 1 minus those at q = 0, which is exactly
-    +1 on the pointer slot and -1/(deg-1) on each other slot of the
-    coordinate's rows, and 0 on every other row. Trusts strictly inside
-    (0, 1) share one zero pattern, so one gather of intercept and slope per
-    block of directions serves them all; a trust of 0 or 1 is solved with
-    its own pattern of identity rows.
+    The non-home nodes are eliminated one at a time: leaves first, then
+    branch nodes by ascending degree, the start last. A state holds, for
+    every remaining node, one candidate row per pointer slot: its entries
+    toward the remaining nodes, an exit-to-home entry and its expected step
+    length. Eliminating node i splits each state into one per slot s of i
+    with pointer chance mu_i(s) > 0, and adds (entry into i / S) x the
+    pivot row to every other row, where S sums the pivot row's entries to
+    everything but i; S is a sum, so no step subtracts (Grassmann, Taksar
+    and Heyman, Operations Research 33(5), 1985). Every direction extending
+    a prefix of pointers shares that prefix's work. At the start
+    T = length / S; the expected time averages T over the slots of the last
+    node eliminated, then of the one before, and so on, so that the
+    contributions of mirror-image directions cancel exactly.
 
-    A(q) T = b(q) gives A T' = b1 - A1 T and A T'' = -2 A1 T' on the same
-    matrix, where A1 and b1 are the slopes.
+    The arrays carry truncated Taylor coefficients in q on a leading axis,
+    then trusts: `values` runs order 0 at all its trusts at once,
+    `derivatives` order 2 at one trust. Along the coordinate every entry is
+    affine in q, +1 on the pointer slot and -1/(deg-1) on each other slot
+    of its rows. States are worked in pieces of at most STATE_BUDGET final
+    values, which keeps peak memory nearly flat in the number of
+    directions.
+
+    A branch node with a step chance of 0 (a trust of 0 or 1) is split
+    before anything is eliminated, so that each state knows which nodes
+    cannot reach home. Those nodes count as home for the others, as the
+    identity rows of the exact path do: a node the chain cannot enter at
+    that trust adds nothing to the one-sided derivatives at a trust of 0
+    or 1. A start that cannot reach home gives +inf.
     """
 
     def __init__(self, net: Network, space: WeightedDirectionSpace, start: str,
                  policy_at: Callable[[float], TrustPolicy]):
         if start not in net.nodes:
             raise ValidationError(f"unknown start node {start!r}")
-        self.form = form = compile_network(net)
         self.net, self.space, self.start = net, space, start
         self.policy_at = policy_at
-        self.col = form.col[form.index[start]]  # past the last column at home
-        low, high = StepTable(form, policy_at(0.0)), StepTable(form, policy_at(1.0))
-        self.intercept = low.system
-        self.slope = assemble(form, high.probs - low.probs, 0.0)
-        self.interior = StepTable(form, policy_at(0.5))
+        form = compile_network(net)
+        origin = form.index[start]
+        branch = set(form.branch)
+        order = [] if origin == form.home else sorted(
+            (i for i in form.nonhome if i != origin),
+            key=lambda i: form.degree[i] if i in branch else 0) + [origin]
+        self.sizes = [form.degree[i] if i in branch else 1 for i in order]
+        self.first = np.cumsum([0] + self.sizes)  # each node's first row
+        mu = pointer_table(net, shortest_paths(net), space.reliability)
+        self.mus = [mu[i, :d] if i in branch else np.ones(1)
+                    for i, d in zip(order, self.sizes)]
+        rows = np.concatenate([form.row_start[i] + np.arange(d)
+                               for i, d in zip(order, self.sizes)]
+                              or [np.zeros(0, dtype=int)])
+        self.row_node = np.repeat(np.arange(len(order)), self.sizes)
+        col = np.full(len(form.nodes), len(order))  # home: the exit column
+        col[order] = np.arange(len(order))
+        self.dcol = col[form.dest[form.row_node[rows]]]
+        self.alen = form.alen[form.row_node[rows]]
+        self.low = StepTable(form, policy_at(0.0)).probs[rows]
+        self.slope = StepTable(form, policy_at(1.0)).probs[rows] - self.low
+        degree = np.array(form.degree)[form.row_node[rows], None]
+        self.spread = np.maximum(degree - 1, 1)
+        self.arc = np.arange(form.dest.shape[1]) < degree  # slots in use
 
-    def _blocks(self, pattern: StepTable) -> Iterator[tuple]:
-        """Per block of positive-weight directions: weights, finite mask,
-        and the gathered intercept and slope matrices and lengths."""
-        (a0, b0), (a1, b1) = self.intercept, self.slope
-        kept = np.flatnonzero(self.space.weights)
-        for ids in np.split(kept, range(TRUST_BLOCK, len(kept), TRUST_BLOCK)):
-            rid, finite = pattern.table_rows(self.space.slots[ids])
-            yield (self.space.weights[ids], finite,
-                   a0[rid], a1[rid], b0[rid], b1[rid])
+    def _table(self, probs: np.ndarray) -> np.ndarray:
+        """Rows of entries toward each node in elimination order, the exit
+        and the step length, from step chances `probs[..., row, slot]`."""
+        table = np.zeros(probs.shape[:-1] + (len(self.sizes) + 2,))
+        every = np.arange(probs.shape[-2])
+        for s in range(probs.shape[-1]):
+            table[..., every, self.dcol[:, s]] += probs[..., s]
+        table[..., -1] = (probs * self.alen).sum(axis=-1)
+        return table
 
-    def _at_start(self, weights, finite, *solved) -> list[float]:
-        """Weighted sums of the start's entry of each solved block; +inf
-        where a direction strands the start."""
-        if self.col == finite.shape[1]:
-            return [0.0] * len(solved)
-        keep = finite[:, self.col]
-        return [float(weights @ np.where(keep, x[:, self.col], math.inf))
-                for x in solved]
+    def _lost(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """lost[trust, state, node]: from the node, home is not reached
+        almost surely when state k steps by table rows `rows[k]` with
+        chances `probs`."""
+        n = len(self.sizes)
+        trust, state, row, slot = np.nonzero(probs[:, rows] > 0.0)
+        reach = np.zeros((len(probs), len(rows), n + 1, n + 1), dtype=bool)
+        reach[..., np.arange(n + 1), np.arange(n + 1)] = True
+        picked = rows[state, row]
+        reach[trust, state, self.row_node[picked], self.dcol[picked, slot]] = True
+        for _ in range((n + 1).bit_length()):
+            reach = reach @ reach
+        return (reach & ~reach[..., None, :, n]).any(axis=-1)[..., :n]
+
+    def _expected(self, trusts, order: int) -> np.ndarray:
+        """Taylor coefficients in q up to `order` of the expected time from
+        the start at each of `trusts`, shape (order + 1, len(trusts))."""
+        if not self.sizes:  # the start is home
+            return np.zeros((order + 1, len(trusts)))
+        q = np.asarray(trusts, dtype=float)[:, None, None]
+        probs = np.where(self.slope > 0.0, q, np.where(
+            self.slope < 0.0, (1.0 - q) / self.spread, self.low))
+        zero = ((probs == 0.0) & self.arc).any(axis=(0, 2))
+        sharp = [i for i, d in enumerate(self.sizes)
+                 if d > 1 and zero[self.first[i]:self.first[i + 1]].any()]
+        counts = [np.count_nonzero(self.mus[i]) for i in sharp]
+        states = math.prod(counts)
+        picks = dict(zip(sharp, np.indices(counts).reshape(len(sharp), states)))
+        # rows[state, row]: the state's pick at a split node, else every slot
+        parts = [self.first[i] + (np.flatnonzero(self.mus[i])[picks[i], None]
+                                  if i in picks else np.arange(d)[None])
+                 for i, d in enumerate(self.sizes)]
+        rows = np.hstack([np.broadcast_to(r, (states, r.shape[1])) for r in parts])
+        # x[coefficient, trust, state, row, entry]
+        x = np.zeros((order + 1, len(trusts)) + rows.shape
+                     + (len(self.sizes) + 2,))
+        x[0] = self._table(probs)[:, rows]
+        if order:
+            x[1] = self._table(self.slope)[rows]
+        if sharp:
+            lost = self._lost(probs, rows)
+            # nodes that cannot reach home: entries into them go home, and
+            # their own rows go home at no cost
+            into = lost[:, :, None, :]
+            x[..., -2] += np.where(into, x[..., :-2], 0.0).sum(axis=-1)
+            x[..., :-2] = np.where(into, 0.0, x[..., :-2])
+            gone = np.take_along_axis(lost, self.row_node[rows][None], axis=-1)
+            x[:, gone] = 0.0
+            x[0, ..., -2][gone] = 1.0
+        sizes = [1 if i in picks else d for i, d in enumerate(self.sizes)]
+        mus = [np.ones(1) if i in picks else mu for i, mu in enumerate(self.mus)]
+        x = _average(x, sizes, mus)
+        if sharp:
+            x = np.where(lost[..., -1], math.inf, x)
+        # then over the split nodes' picks, the last split node first
+        for mu in reversed([self.mus[i] for i in sharp]):
+            x = x.reshape(x.shape[:2] + (-1, np.count_nonzero(mu))) @ mu[mu > 0.0]
+        return x[..., 0]
 
     def values(self, trusts) -> np.ndarray:
-        """Expected time from the start at each trust strictly inside
-        (0, 1): one stacked solve per trust and block."""
-        total = np.zeros(len(trusts))
-        for weights, finite, a0, a1, b0, b1 in self._blocks(self.interior):
-            for j, q in enumerate(trusts):
-                total[j] += self._at_start(
-                    weights, finite, _solve(a0 + q * a1, b0 + q * b1))[0]
-        return total
+        """Expected time from the start at each trust."""
+        return self._expected(list(trusts), 0)[0]
 
     def derivatives(self, q: float) -> tuple[float, float, float]:
         """Expected time from the start at trust q with its first and second
-        derivative in q; at q = 0 or 1, the one-sided derivatives of the
-        system with that trust's own pattern of identity rows."""
-        pattern = (self.interior if 0.0 < q < 1.0
-                   else StepTable(self.form, self.policy_at(q)))
-        total = np.zeros(3)
-        for weights, finite, a0, a1, b0, b1 in self._blocks(pattern):
-            a = a0 + q * a1
-            t = _solve(a, b0 + q * b1)
-            t1 = _solve(a, b1 - (a1 @ t[..., None])[..., 0], times=False)
-            t2 = _solve(a, -2.0 * (a1 @ t1[..., None])[..., 0], times=False)
-            total += self._at_start(weights, finite, t, t1, t2)
-        return tuple(total.tolist())
+        derivative in q; one-sided at q = 0 or 1."""
+        value, slope, half_curvature = self._expected([q], 2)[:, 0].tolist()
+        return value, slope, 2.0 * half_curvature
+
+
+def _average(x: np.ndarray, sizes: list[int], mus: list[np.ndarray]
+             ) -> np.ndarray:
+    """Eliminate the node whose rows lead x[coefficient, trust, state, row,
+    entry], then each later one; node k has sizes[k] rows and pointer
+    chances mus[k]. Returns T at the start averaged over the slots of the
+    last node eliminated, then of the one before, and so on: one average
+    per state of x. While the states of x would end in more than
+    STATE_BUDGET values of T, each half of them runs in turn."""
+    states = x.shape[2]
+    if states > 1 and (math.prod(x.shape[:3]) * math.prod(
+            np.count_nonzero(mu) for mu in mus) > STATE_BUDGET):
+        return np.concatenate([_average(x[:, :, :states // 2], sizes, mus),
+                               _average(x[:, :, states // 2:], sizes, mus)],
+                              axis=2)
+    d, mu = sizes[0], mus[0]
+    kept = mu > 0.0
+    pivot, rest = x[..., :d, :][..., kept, :], x[..., d:, :]
+    exits = pivot[..., 1:-1].sum(axis=-1)
+    if len(sizes) == 1:  # the start
+        return _div(pivot[..., -1], exits) @ mu[kept]
+    x = rest[..., None, :, 1:] + _mul(
+        _div(rest[..., None, :, 0], exits[..., None])[..., None],
+        pivot[..., None, 1:])
+    t = _average(x.reshape(x.shape[:2] + (-1,) + x.shape[-2:]),
+                 sizes[1:], mus[1:])
+    return t.reshape(t.shape[:2] + (states, -1)) @ mu[kept]
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of truncated Taylor series, coefficients on axis 0."""
+    if len(a) == 1:
+        return a * b
+    return np.stack([sum(a[i] * b[k - i] for i in range(k + 1))
+                     for k in range(len(a))])
+
+
+def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quotient of truncated Taylor series, coefficients on axis 0."""
+    if len(a) == 1:
+        return a / b
+    out = []
+    for k in range(len(a)):
+        out.append((a[k] - sum(out[i] * b[k - i] for i in range(k))) / b[0])
+    return np.stack(out)
 
 
 def simulate(

@@ -1,12 +1,15 @@
-"""Shared test networks and generators."""
+"""Shared test networks, generators and the exact-rational oracle."""
 
+import itertools
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from satnav import build_network
 from satnav import fixtures as fx
+from satnav.network import classify, shortest_paths
 
 
 @pytest.fixture
@@ -95,3 +98,57 @@ def small_trees(draw, max_nodes=7):
         arcs.append((f"t{i}", str(i), str(parent), draw(length)))
     home = str(draw(st.integers(min_value=0, max_value=n - 1)))
     return quiet_network(home, arcs)
+
+
+def rational_expected_profile(net, p, policy):
+    """Expected time to home from every non-home node, averaged over every
+    direction, in exact rationals; every node must reach home.
+
+    The step chances are built from the exact trusts, q on the pointer and
+    (1 - q)/(deg - 1) on each other arc. Rationals of a float I - P would
+    inherit its rounding: the rounded 1 - q already leaks a near trap's
+    escape mass.
+    """
+    p = Fraction(p)
+    correct = shortest_paths(net).correct_arcs
+    branch = sorted(classify(net).branch_nodes, key=net.nodes.index)
+    nonhome = [v for v in net.nodes if v != net.home]
+    col = {v: k for k, v in enumerate(nonhome)}
+    mus = []
+    for v in branch:
+        good = [a.arc_id in correct[v] for a in net.incident(v)]
+        deg, n_good = len(good), sum(good)
+        mus.append([Fraction(1, deg) if n_good == deg else
+                    p / n_good if g else (1 - p) / (deg - n_good) for g in good])
+    total = [Fraction(0)] * len(nonhome)
+    for slots in itertools.product(*(range(len(mu)) for mu in mus)):
+        weight = Fraction(1)
+        for mu, s in zip(mus, slots):
+            weight *= mu[s]
+        if weight == 0:
+            continue
+        pointer = dict(zip(branch, slots))
+        # rows of [I - P | expected step length], solved by Gauss-Jordan
+        rows = []
+        for v in nonhome:
+            row = [Fraction(0)] * (len(nonhome) + 1)
+            row[col[v]] += 1
+            arcs = net.incident(v)
+            q = Fraction(policy.trust_at(len(arcs))) if v in pointer else None
+            for s, a in enumerate(arcs):
+                step = (Fraction(1) if q is None else q if s == pointer[v]
+                        else (1 - q) / (len(arcs) - 1))
+                row[-1] += step * Fraction(a.length)
+                if a.other(v) != net.home:
+                    row[col[a.other(v)]] -= step
+            rows.append(row)
+        for c in range(len(rows)):
+            pivot = next(r for r in range(c, len(rows)) if rows[r][c] != 0)
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(len(rows)):
+                if r != c and rows[r][c] != 0:
+                    f = rows[r][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+        total = [t + weight * row[-1] for t, row in zip(total, rows)]
+    return dict(zip(nonhome, total))

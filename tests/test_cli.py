@@ -131,17 +131,27 @@ def test_malformed_network_file_exits_two(tmp_path, capsys, content,
     assert out == ""
 
 
-@pytest.mark.parametrize("args", [
-    ("optimize", "--fixture", "line7", "--p", "0.75", "--start", "0"),
-    ("solve", "--fixture", "line5", "--p", "1", "--q", "1e-12", "--start", "0"),
-])
-def test_negative_solved_times_exit_four(capsys, args):
-    # near trust 0 or 1 the dense LU loses the escape mass of a near trap
-    # and returns negative times; they must not be printed as an answer
-    code, out, err = run_cli(capsys, *args)
+def test_negative_solved_times_exit_four(capsys):
+    # near trust 0 or 1 the exact path's dense LU loses the escape mass of a
+    # near trap and returns negative times; they must not be printed as an
+    # answer
+    code, out, err = run_cli(capsys, "solve", "--fixture", "line5", "--p", "1",
+                             "--q", "1e-12", "--start", "0")
     assert code == 4
     assert out == ""
     assert "gave a negative or NaN time in a block of" in err
+
+
+@pytest.mark.parametrize("p", ["0.1", "0.25", "0.5", "0.75", "0.9", "0.99"])
+def test_line7_uniform_optimizations_exit_zero(capsys, p):
+    # the trust search scores the clamp trusts without a linear solve, so
+    # the near traps of the long line cannot make it exit 4
+    for start in "0123456":
+        code, out, err = run_cli(capsys, "optimize", "--fixture", "line7",
+                                 "--p", p, "--start", start)
+        assert (code, err) == (0, ""), (p, start)
+        header, data = parse_csv(out)
+        assert 0.0 < float(dict(zip(header, data[0]))["value"])
 
 
 def test_solve_over_cap_with_simulation_leaves_time_empty(capsys):
@@ -250,6 +260,29 @@ def test_non_finite_grid_exits_two(args):
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2
     assert "must be finite" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_long_line_runs_in_one_pass():
+    # crossing times and increments come from one pass of the recursion;
+    # repeating the recursion for every row is cubic and hits the timeout
+    proc = subprocess.run([sys.executable, "-m", "satnav", "line", "--p", "0.75",
+                           "--q", "0.6", "--max-j", "5000"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    header, data = parse_csv(proc.stdout)
+    assert len(data) == 5000
+    assert data[-1][0] == "5000" and data[-1][2] != ""
+
+
+def test_line_with_too_many_rows_exits_two():
+    # a subprocess with a timeout: without the row cap this run builds one
+    # row per j and does not end
+    proc = subprocess.run([sys.executable, "-m", "satnav", "line", "--p", "0.75",
+                           "--max-j", "100000000"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "exceeds the limit of 100000 rows" in proc.stderr
     assert proc.stdout == ""
 
 

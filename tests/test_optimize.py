@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from satnav import (
     ByDegree,
@@ -12,13 +15,14 @@ from satnav import (
     build_network,
     enumerate_direction_space,
     expected_time,
+    line_increment,
     optimize_counting,
     optimize_uniform,
     star_optimal_trust,
     tree_solve_counting,
     trust_curve,
 )
-from conftest import star_network
+from conftest import rational_expected_profile, small_networks, star_network
 from satnav import fixtures as fx
 from satnav.network import classify
 from satnav.optimize import EPS, _grid, _grid_winner, _search
@@ -26,10 +30,12 @@ from satnav.solver import TrustLine
 
 
 def trust_lines(p):
-    """(name, start, line) for every fixture and non-home start, under
+    """(name, start, line) for every fixture and a star with a degree-4
+    center (three arcs share 1 - q), from every non-home start, under
     Uniform and under the top branch degree's ByDegree coordinate."""
-    for name in sorted(fx.FIXTURES):
-        net = fx.fixture(name)
+    networks = {name: fx.fixture(name) for name in sorted(fx.FIXTURES)}
+    networks["star4"] = star_network(4, 1.0, [1.0, 2.0, 1.5])
+    for name, net in networks.items():
         space = enumerate_direction_space(net, p=p)
         degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
         coordinate = lambda q, k=degrees[-1], others=dict.fromkeys(degrees, 0.7): (
@@ -54,14 +60,88 @@ def test_trust_line_derivatives_match_central_differences():
 
 
 def test_trust_line_values_match_expected_time():
-    grid = _grid(EPS, 1 - EPS, 101)
+    grid = [q for q in _grid(EPS, 1 - EPS, 101) if 0.05 <= q <= 0.95]
     for name, start, line in trust_lines(0.75):
-        if name == "line7":  # its clamp trusts defeat the dense solve
-            continue
         for q, value in zip(grid, line.values(grid)):
-            exact = expected_time(line.net, 0.75, line.policy_at(q), start,
-                                  space=line.space)
+            if name.startswith("line"):
+                # the exact path's LU is off by up to 1.6e-9 on line7 near
+                # q = 0.05; the line's closed form is not
+                size = len(line.net.nodes)
+                exact = sum(line_increment([1.0] * size, m, 0.75, q)
+                            for m in range(int(start), size - 1))
+            else:
+                exact = expected_time(line.net, 0.75, line.policy_at(q), start,
+                                      space=line.space)
             assert value == pytest.approx(exact, rel=1e-13), (name, start, q)
+
+
+def test_trust_line_clamp_values_match_exact_rationals():
+    profiles = {}  # one oracle profile serves every start
+    for name, start, line in trust_lines(0.75):
+        for q, value in zip((EPS, 1 - EPS), line.values([EPS, 1 - EPS])):
+            key = name, line.policy_at is Uniform, q
+            if key not in profiles:
+                profiles[key] = rational_expected_profile(
+                    line.net, 0.75, line.policy_at(q))
+            assert value == pytest.approx(float(profiles[key].get(start, 0)),
+                                          rel=1e-14), (name, start, q)
+
+
+def test_trust_line_end_derivatives_ignore_nodes_that_cannot_reach_home():
+    # at q2 = 1 node 2 steps home over length 2; its other arc (length 3)
+    # leads to node 1, which with q3 = q4 = 0 never takes its pointer and
+    # is trapped among 0, 1, 3, 5 and 6. As on the exact path, that region
+    # adds nothing to the one-sided derivatives, so only the step length
+    # 2q + 3(1 - q) moves: T' = -1 and T'' = 0. Node 1 is eliminated before
+    # the trap closes at node 3, so the trap must be known beforehand.
+    net = build_network("4", [("t1", "1", "0", 1.5), ("t2", "2", "1", 3),
+                              ("t3", "3", "1", 1), ("t4", "4", "2", 2),
+                              ("t5", "5", "3", 1.5), ("t6", "6", "3", 3),
+                              ("x0", "3", "0", 1)])
+    space = enumerate_direction_space(net, p=1.0)
+    line = TrustLine(net, space, "2",
+                     lambda q: ByDegree({2: q, 3: 0.0, 4: 0.0}))
+    assert line.derivatives(1.0) == pytest.approx((2.0, -1.0, 0.0), abs=1e-12)
+    assert list(line.values([1.0, 0.99])) == [2.0, math.inf]
+
+
+@given(small_networks(), st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+       st.floats(min_value=0.2, max_value=0.8), st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=40, deadline=None)
+def test_trust_line_matches_expected_time_on_random_networks(net, p, q, other):
+    # along the top degree's coordinate, every other degree trusting `other`:
+    # 0 or 1 can strand nodes, and the start among them
+    degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
+    assume(degrees)
+    space = enumerate_direction_space(net, p=p)
+
+    def policy_at(t):
+        return ByDegree({**dict.fromkeys(degrees, other), degrees[-1]: t})
+
+    for start in net.nodes:
+        line = TrustLine(net, space, start, policy_at)
+        exact = expected_time(net, p, policy_at(q), start, space=space)
+        assert line.values([q])[0] == pytest.approx(exact, rel=1e-12)
+        assert line.derivatives(q)[0] == pytest.approx(exact, rel=1e-12)
+
+
+def test_trust_line_makes_no_lapack_call(monkeypatch, tree):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    space = enumerate_direction_space(tree, p=0.75)
+    line = TrustLine(tree, space, "A", Uniform)
+    line.values(_grid(EPS, 1 - EPS, 101))
+    for q in (0.0, 0.3, 1.0):
+        line.derivatives(q)
+    assert calls == []
+    expected_time(tree, 0.75, Uniform(0.3), "A", space=space)
+    assert calls  # the wrapper does see the exact path's solves
 
 
 class StubLine:
@@ -138,6 +218,21 @@ def test_uniform_optimal_trust_is_start_independent_on_lines(line5):
     for start in "01234":
         res = optimize_uniform(line5, 0.75, start)
         assert res.policy.q == pytest.approx(expected, abs=1e-4)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 0.9])
+def test_line7_uniform_optimum_is_the_line_closed_form(line7, p):
+    # the unit line's optimal trust is the degree-2 star's from every start,
+    # and its time the sum of the per-arc increments
+    for j in range(7):
+        res = optimize_uniform(line7, p, str(j))
+        q = res.policy.q
+        assert q == pytest.approx(star_optimal_trust(2, p), abs=1e-6)
+        assert res.value == pytest.approx(
+            sum(line_increment([1.0] * 8, m, p, q) for m in range(j, 7)),
+            rel=1e-12)
+        if (j, p) == (0, 0.75):
+            assert res.value == pytest.approx(36.2557644266, rel=1e-11)
 
 
 def test_uniform_interior_on_fixtures():
