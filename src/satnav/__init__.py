@@ -69,7 +69,6 @@ from .optimize import (
     trust_curve,
 )
 from .game import (
-    GamePayoff,
     GameSimulation,
     GameSolution,
     Regime,
@@ -79,7 +78,6 @@ from .game import (
     asymmetric_q_mid,
     best_response,
     best_response_curves,
-    evaluate_payoff,
     simulate_game,
     symmetric_equilibrium,
     symmetric_payoff,

@@ -157,9 +157,8 @@ def cmd_solve(args, argv) -> int:
     header = ["start", "to", "p", "policy", "time"]
     row = [args.start, to, args.p, _fmt_policy(policy), exact]
     if args.simulate:
-        target_net = net if to == net.home else net.retargeted(to)
-        sim = simulate(target_net, args.p, policy, args.start, args.simulate,
-                       max_time=args.max_time, seed=args.seed)
+        sim = simulate(net.retargeted(to), args.p, policy, args.start,
+                       args.simulate, max_time=args.max_time, seed=args.seed)
         header += ["sim_mean", "sim_se", "sim_censored"]
         row += [sim.mean, sim.std_error, sim.censored]
     with _out_stream(args.out) as fh:
@@ -225,12 +224,11 @@ def cmd_line(args, argv) -> int:
         lengths = [1.0] * (args.max_j + 1)
     else:
         lengths = None  # unit arcs at the optimal trust: the closed form
-    rows = []
     if lengths is None:
-        for j in range(1, args.max_j + 1):
-            cross = closed_form.unit_line_cross_time(j, args.p)
-            nxt = closed_form.unit_line_cross_time(j + 1, args.p)
-            rows.append([j, cross, nxt - cross])
+        times = closed_form._unit_line_cross_times(args.p,
+                                                   range(args.max_j + 2))
+        rows = [[j, times[j], times[j + 1] - times[j]]
+                for j in range(1, args.max_j + 1)]
     else:
         q = args.q if args.q is not None else closed_form.star_optimal_trust(
             2, args.p)
@@ -238,6 +236,7 @@ def cmd_line(args, argv) -> int:
         # sums the first j of them in order
         incs = closed_form.line_increments(
             lengths, min(args.max_j + 1, len(lengths)), args.p, q)
+        rows = []
         cross = 0
         for j in range(1, args.max_j + 1):
             cross += incs[j - 1]

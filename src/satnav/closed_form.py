@@ -143,8 +143,8 @@ def line_increments(lengths: Sequence[float], count: int, p: float,
     costs a round trip whose far side is the previous increment.
 
     lengths[i] is the arc between nodes i and i+1. Each length is checked
-    as the pass reaches it, and must be finite and positive; the trust is
-    checked once the first length has passed.
+    as the pass reaches it, and must be finite and positive; the
+    reliability and the trust are checked once the first length has passed.
     """
     a = [float(x) for x in lengths[:count]]
     out: list[float] = []
@@ -154,6 +154,7 @@ def line_increments(lengths: Sequence[float], count: int, p: float,
                 f"arc {m} has length {x}; lengths must be finite and positive"
             )
         if m == 0:
+            check_probability("reliability p", p)
             z = line_z(p, q)
             out.append(x)
         else:
@@ -199,20 +200,30 @@ def unit_line_cross_time(j: int, p: float) -> float:
     """
     if j < 0:
         raise ValidationError(f"node index j={j} must be >= 0")
+    return _unit_line_cross_times(p, range(j, j + 1))[0]
+
+
+def _unit_line_cross_times(p: float, js: range) -> list[float]:
+    """`unit_line_cross_time` for every node j in `js`; near p = 1/2 one
+    pass of the running sums serves them all."""
     check_probability("reliability p", p)
     if p == 0.5:
-        return float(j * j)
+        return [float(j * j) for j in js]
     z = 2.0 * math.sqrt(p * (1.0 - p))
-    if abs(1.0 - z) < 1e-6:
-        total = 0.0
-        zpow_sum = 0.0  # z + z^2 + ... + z^m
-        zpow = 1.0
-        for _ in range(j):
-            total += 1.0 + 2.0 * zpow_sum
-            zpow *= z
-            zpow_sum += zpow
-        return total
-    return (j - j * z * z + 2.0 * z * (z ** j - 1.0)) / (1.0 - z) ** 2
+    if abs(1.0 - z) >= 1e-6:
+        return [(j - j * z * z + 2.0 * z * (z ** j - 1.0)) / (1.0 - z) ** 2
+                for j in js]
+    times = []
+    total = 0.0
+    zpow_sum = 0.0  # z + z^2 + ... + z^m
+    zpow = 1.0
+    for m in range(js.stop):
+        if m in js:
+            times.append(total)
+        total += 1.0 + 2.0 * zpow_sum
+        zpow *= z
+        zpow_sum += zpow
+    return times
 
 
 def tree_solve_counting(

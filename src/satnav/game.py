@@ -31,14 +31,6 @@ class Regime(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GamePayoff:
-    p: float
-    q: float
-    r: float
-    v: float  # probability player I wins
-
-
-@dataclass(frozen=True)
 class GameSolution:
     regime: Regime
     q_star: float
@@ -63,34 +55,56 @@ class GameSimulation:
     seed: int
 
 
+# Each payoff is p N1/D1 + (1 - p) N2/D2, the races under a correct and a
+# wrong pointer. Per mode, ((N1, D1), (N2, D2)) as the coefficients
+# (c0, c1, c2, c3) of bilinear forms, which `_form` sums in that order.
+_FORMS = {
+    "symmetric": (((0.0, 2.0, 0.0, -1.0), (0.0, 2.0, 2.0, -2.0)),
+                  ((1.0, -1.0, 1.0, -1.0), (2.0, 0.0, 0.0, -2.0))),
+    "asymmetric": (((0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 1.0, -1.0)),
+                   ((1.0, -1.0, 0.0, 0.0), (1.0, 0.0, 0.0, -1.0))),
+}
+_ENDLESS = ("q = r = 0: with a correct pointer neither player ever steps home",
+            "q = r = 1: with a wrong pointer both players oscillate forever")
+
+
+def _forms(mode: str):
+    try:
+        return _FORMS[mode]
+    except KeyError:
+        raise ValidationError(f"unknown game mode {mode!r}") from None
+
+
+def _form(c, q: float, r: float) -> float:
+    return c[0] + c[1] * q + c[2] * r + c[3] * (q * r)
+
+
+def _payoff(mode: str, p: float, q: float, r: float) -> float:
+    """P(player I wins). (q, r) = (0, 0) leaves the correct-pointer race
+    unending and (1, 1) the wrong-pointer race, so those pairs have no
+    value unless that race has weight 0."""
+    races = _forms(mode)
+    check_probability("reliability p", p)
+    check_probability("trust q", q)
+    check_probability("trust r", r)
+    v = 0.0
+    for weight, (n, d), endless in zip((p, 1.0 - p), races, _ENDLESS):
+        if weight > 0.0:
+            denom = _form(d, q, r)
+            if denom == 0.0:
+                raise DegeneratePolicy(endless)
+            v += weight * _form(n, q, r) / denom
+    return v
+
+
 def symmetric_payoff(p: float, q: float, r: float) -> float:
     """P(player I wins) when both start at node 1.
 
     Conditional on a correct pointer the failure mode is both players
     stepping away together; conditional on a wrong one it is both obeying
-    together. (q, r) = (0, 0) leaves the correct-pointer play unending and
-    (1, 1) the wrong-pointer play, so those pairs have no value unless the
-    offending component has zero weight.
+    together.
     """
-    check_probability("reliability p", p)
-    check_probability("trust q", q)
-    check_probability("trust r", r)
-    v = 0.0
-    if p > 0.0:
-        denom = 2.0 * (q + r - q * r)
-        if denom == 0.0:
-            raise DegeneratePolicy(
-                "q = r = 0: with a correct pointer neither player ever steps home"
-            )
-        v += p * (2.0 * q - q * r) / denom
-    if p < 1.0:
-        denom = 2.0 * (1.0 - q * r)
-        if denom == 0.0:
-            raise DegeneratePolicy(
-                "q = r = 1: with a wrong pointer both players oscillate forever"
-            )
-        v += (1.0 - p) * (1.0 - q + r - q * r) / denom
-    return v
+    return _payoff("symmetric", p, q, r)
 
 
 def asymmetric_payoff(p: float, q: float, r: float) -> float:
@@ -100,31 +114,7 @@ def asymmetric_payoff(p: float, q: float, r: float) -> float:
     steps home with probability q (or r) if the pointer is correct, else
     1 - q (or 1 - r), player I tossing first.
     """
-    check_probability("reliability p", p)
-    check_probability("trust q", q)
-    check_probability("trust r", r)
-    v = 0.0
-    if p > 0.0:
-        denom = q + r - q * r
-        if denom == 0.0:
-            raise DegeneratePolicy(
-                "q = r = 0: with a correct pointer neither player ever steps home"
-            )
-        v += p * q / denom
-    if p < 1.0:
-        denom = 1.0 - q * r
-        if denom == 0.0:
-            raise DegeneratePolicy(
-                "q = r = 1: with a wrong pointer both players oscillate forever"
-            )
-        v += (1.0 - p) * (1.0 - q) / denom
-    return v
-
-
-def evaluate_payoff(p: float, q: float, r: float,
-                    mode: str = "symmetric") -> GamePayoff:
-    """Payoff record for one trust pair."""
-    return GamePayoff(p, q, r, _payoff_fn(mode)(p, q, r))
+    return _payoff("asymmetric", p, q, r)
 
 
 def symmetric_equilibrium(p: float) -> GameSolution:
@@ -167,45 +157,35 @@ def asymmetric_equilibrium(p: float) -> GameSolution:
     return GameSolution(Regime.ASYM_MID_P, asymmetric_q_mid(p), 0.5, value)
 
 
-# In the responder's own trust x, each payoff is p (a1 + b1 x)/(c1 + d1 x)
-# + (1 - p) (a2 + b2 x)/(c2 + d2 x): the correct- and the wrong-pointer
-# term. These are their coefficients (a, b, c, d) as functions of the
-# opponent's trust o.
-_RESPONSE_TERMS = {
-    ("symmetric", "II"): lambda o: ((2 * o, -o, 2 * o, 2 * (1 - o)),
-                                    (1 - o, 1 - o, 2.0, -2 * o)),
-    ("symmetric", "I"): lambda o: ((0.0, 2 - o, 2 * o, 2 * (1 - o)),
-                                   (1 + o, -(1 + o), 2.0, -2 * o)),
-    ("asymmetric", "II"): lambda o: ((o, 0.0, o, 1 - o),
-                                     (1 - o, 0.0, 1.0, -o)),
-    ("asymmetric", "I"): lambda o: ((0.0, 1.0, o, 1 - o),
-                                    (1.0, -1.0, 1.0, -o)),
-}
-
-
 def best_response(p: float, mode: str, player: str, opponent: float) -> float:
     """One player's payoff-optimal trust against a fixed opponent trust.
 
     `player` is "I" (maximizes the payoff over q) or "II" (minimizes it
-    over r). The opponent trust must be interior, so every denominator
-    c + d x is positive on [0, 1] and term i has derivative
-    K_i / (c_i + d_i x)^2 with K_i = b_i c_i - a_i d_i. With k_i the
-    weighted K_i, the payoff's derivative vanishes at most once, only when
-    k1 k2 < 0: where c2 + d2 x = t (c1 + d1 x), t = sqrt(-k2 / k1). The
-    answer is whichever of 0, 1 and that root scores best; a tie goes to
-    the smaller trust.
+    over r). With the opponent's trust o fixed, every form of `_FORMS` is
+    a + b x in the responder's own trust x: a = c0 + c1 o, b = c2 + c3 o
+    for II (x = r), with c1 and c2 swapped for I. The opponent trust must
+    be interior, so every D is positive on [0, 1] and race i,
+    (a_i + b_i x)/(c_i + d_i x), has derivative K_i / (c_i + d_i x)^2 with
+    K_i = b_i c_i - a_i d_i. With k_i the weighted K_i, the payoff's
+    derivative vanishes at most once, only when k1 k2 < 0: where
+    c2 + d2 x = t (c1 + d1 x), t = sqrt(-k2 / k1). The answer is the best
+    of 0, 1 and that root; a tie goes to the smaller trust.
     """
-    payoff = _payoff_fn(mode)
+    races = _forms(mode)
     if player not in ("I", "II"):
         raise ValidationError(f"unknown player {player!r}")
     if not 0.0 < opponent < 1.0:
         raise ValidationError("opponent trust must be interior to (0, 1)")
     check_probability("reliability p", p)
     if player == "I":
-        f = lambda q: -payoff(p, q, opponent)
+        own, other = 1, 2
+        f = lambda q: -_payoff(mode, p, q, opponent)
     else:
-        f = lambda r: payoff(p, opponent, r)
-    (a1, b1, c1, d1), (a2, b2, c2, d2) = _RESPONSE_TERMS[mode, player](opponent)
+        own, other = 2, 1
+        f = lambda r: _payoff(mode, p, opponent, r)
+    (a1, b1), (c1, d1), (a2, b2), (c2, d2) = (
+        (c[0] + c[other] * opponent, c[own] + c[3] * opponent)
+        for race in races for c in race)
     k1 = p * (b1 * c1 - a1 * d1)
     k2 = (1.0 - p) * (b2 * c2 - a2 * d2)
     candidates = [0.0, 1.0]
@@ -216,14 +196,6 @@ def best_response(p: float, mode: str, player: str, opponent: float) -> float:
             if 0.0 < root < 1.0:
                 candidates.insert(1, root)
     return min(candidates, key=f)
-
-
-def _payoff_fn(mode: str):
-    if mode == "symmetric":
-        return symmetric_payoff
-    if mode == "asymmetric":
-        return asymmetric_payoff
-    raise ValidationError(f"unknown game mode {mode!r}")
 
 
 def best_response_curves(p: float, mode: str,
@@ -252,8 +224,7 @@ def simulate_game(
     coin; asymmetric plays alternate I-then-II, where a tie is structurally
     impossible (the simulator asserts it). `seed` must be non-negative.
     """
-    payoff = _payoff_fn(mode)  # validates mode; also raises on degenerate q, r
-    payoff(p, q, r)
+    _payoff(mode, p, q, r)  # validates mode and trusts; raises on endless play
     if n_plays < 1:
         raise ValidationError("n_plays must be >= 1")
     if seed < 0:
@@ -268,20 +239,18 @@ def simulate_game(
     for _ in range(MAX_ROUNDS):
         if not active.any():
             break
+        i_home = active & (rng.random(n_plays) < a)
         if mode == "symmetric":
-            i_home = active & (rng.random(n_plays) < a)
             ii_home = active & (rng.random(n_plays) < b)
             tie = i_home & ii_home
             wins[tie] = rng.random(int(tie.sum())) < 0.5
             wins[i_home & ~ii_home] = 1.0
-            active &= ~(i_home | ii_home)
         else:
-            i_home = active & (rng.random(n_plays) < a)
             wins[i_home] = 1.0
             still = active & ~i_home
             ii_home = still & (rng.random(n_plays) < b)
             assert not (i_home & ii_home).any(), "tie in the asymmetric game"
-            active &= ~(i_home | ii_home)
+        active &= ~(i_home | ii_home)
     unresolved = int(active.sum())
     if unresolved:
         raise DegeneratePolicy(

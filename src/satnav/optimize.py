@@ -13,9 +13,9 @@ safeguarded Newton iteration on dE/dq = 0. The reported value is one
 node sits next to home, so the clamp never hides an optimum.
 Degree-indexed coordinates may legitimately sit at exactly 0 or 1 (a
 degree-2 node whose two arcs both lead the same way wants trust 1), so
-counting-mode searches score the exact endpoints with `expected_time` and
-keep one that wins the grid while the derivative there points outward; an
-endpoint that strands the walk has infinite expected time and loses
+counting-mode searches score the exact endpoints on the same `TrustLine`
+and keep one that wins the grid while the derivative there points outward;
+an endpoint that strands the walk has infinite expected time and loses
 automatically.
 """
 
@@ -67,12 +67,6 @@ def _grid_winner(grid: list[float], values: Sequence[float]) -> int:
                 if values[i] <= values[best] + _TIE_TOL)
 
 
-def _exact(line: TrustLine, q: float) -> float:
-    """Expected time at trust q from the exact path."""
-    return expected_time(line.net, line.space.reliability, line.policy_at(q),
-                         line.start, space=line.space)
-
-
 def _newton(line: TrustLine, a: float, b: float, x: float
             ) -> tuple[float, float, int]:
     """Root of dE/dq in [a, b] by Newton steps from x, safeguarded by
@@ -110,11 +104,14 @@ def _newton(line: TrustLine, a: float, b: float, x: float
 def _search(line: TrustLine, lo: float, hi: float, points: int
             ) -> tuple[float, Diagnostics]:
     """The trust in [lo, hi] of least expected time on `line`: a grid of
-    `points` trusts (0 and 1 scored by `expected_time`), then `_newton`
-    inside the winner's bracket."""
+    `points` trusts, then `_newton` inside the winner's bracket. Trusts 0
+    and 1 are scored in a pass of their own: a zero step chance makes the
+    line split nodes before eliminating, which the interior trusts need
+    not pay for."""
     grid = _grid(lo, hi, points)
     inner = iter(line.values([q for q in grid if 0.0 < q < 1.0]))
-    values = [next(inner) if 0.0 < q < 1.0 else _exact(line, q) for q in grid]
+    values = [next(inner) if 0.0 < q < 1.0 else line.values([q])[0]
+              for q in grid]
     best = _grid_winner(grid, values)
     if values[best] == math.inf:  # every trust strands the walk
         return grid[best], Diagnostics(points, 0, hi - lo)
@@ -146,7 +143,9 @@ def optimize_uniform(
     if found is None:
         found = _search(line, EPS, 1.0 - EPS, 101)
     q, diag = found
-    return OptimizationResult(Uniform(q), _exact(line, q), start, diag)
+    return OptimizationResult(
+        Uniform(q), expected_time(net, p, Uniform(q), start, space=space),
+        start, diag)
 
 
 def optimize_counting(

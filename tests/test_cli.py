@@ -247,6 +247,19 @@ def test_line_bad_lengths_exit_two(capsys, lengths):
 
 
 @pytest.mark.parametrize("args", [
+    ("--q", "0.9"),
+    ("--lengths", "1,2,3"),
+    (),
+], ids=["trust", "lengths", "unit"])
+def test_line_bad_reliability_exits_two(capsys, args):
+    code, out, err = run_cli(capsys, "line", "--p", "1.5", "--max-j", "3",
+                             *args)
+    assert code == 2
+    assert "reliability p=1.5" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("args", [
     ("game", "--mode", "symmetric", "--curve", "nan:0.6:0.05"),
     ("optimize", "--fixture", "tree", "--start", "A",
      "--curve", "0.5:inf:0.1"),
@@ -273,6 +286,18 @@ def test_long_line_runs_in_one_pass():
     header, data = parse_csv(proc.stdout)
     assert len(data) == 5000
     assert data[-1][0] == "5000" and data[-1][2] != ""
+
+
+def test_unit_line_near_half_runs_in_one_pass():
+    # near p = 1/2 the closed form cancels badly and crossing times are
+    # running sums; summing afresh for every row is quadratic in --max-j
+    proc = subprocess.run([sys.executable, "-m", "satnav", "line", "--p",
+                           "0.5005", "--max-j", "100000"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    header, data = parse_csv(proc.stdout)
+    assert len(data) == 100000
+    assert data[-1][0] == "100000"
 
 
 def test_line_with_too_many_rows_exits_two():
@@ -368,6 +393,187 @@ j,cross_time,increment
 3,12.6961524227,10.4951905284
 """
 
+GOLDEN_GAME_SYMMETRIC = """\
+# command: satnav game --mode symmetric --p 0.6667 --responses 33
+# seed: 0
+# version: 0.1.0
+mode,p,variable,opponent_trust,best_response
+symmetric,0.6667,q,0.0294117647059,0.317381910949
+symmetric,0.6667,q,0.0588235294118,0.433208893147
+symmetric,0.6667,q,0.0882352941176,0.513817051849
+symmetric,0.6667,q,0.117647058824,0.574873432008
+symmetric,0.6667,q,0.147058823529,0.622558824923
+symmetric,0.6667,q,0.176470588235,0.660168902377
+symmetric,0.6667,q,0.205882352941,0.689778419218
+symmetric,0.6667,q,0.235294117647,0.71284265599
+symmetric,0.6667,q,0.264705882353,0.730462044635
+symmetric,0.6667,q,0.294117647059,0.74351450964
+symmetric,0.6667,q,0.323529411765,0.752728061806
+symmetric,0.6667,q,0.352941176471,0.758723616663
+symmetric,0.6667,q,0.382352941176,0.762041861329
+symmetric,0.6667,q,0.411764705882,0.763161098876
+symmetric,0.6667,q,0.441176470588,0.762509778938
+symmetric,0.6667,q,0.470588235294,0.760475811172
+symmetric,0.6667,q,0.5,0.757413908049
+symmetric,0.6667,q,0.529411764706,0.753651739956
+symmetric,0.6667,q,0.558823529412,0.749495432047
+symmetric,0.6667,q,0.588235294118,0.745234802783
+symmetric,0.6667,q,0.617647058824,0.741148698405
+symmetric,0.6667,q,0.647058823529,0.737510802467
+symmetric,0.6667,q,0.676470588235,0.734596403976
+symmetric,0.6667,q,0.705882352941,0.732690827783
+symmetric,0.6667,q,0.735294117647,0.732100651263
+symmetric,0.6667,q,0.764705882353,0.733169637141
+symmetric,0.6667,q,0.794117647059,0.736302925963
+symmetric,0.6667,q,0.823529411765,0.742006486285
+symmetric,0.6667,q,0.852941176471,0.750956908231
+symmetric,0.6667,q,0.882352941176,0.764137934324
+symmetric,0.6667,q,0.911764705882,0.783146171919
+symmetric,0.6667,q,0.941176470588,0.811029250336
+symmetric,0.6667,q,0.970588235294,0.855594006669
+symmetric,0.6667,r,0.0294117647059,0.317381910949
+symmetric,0.6667,r,0.0588235294118,0.433208893147
+symmetric,0.6667,r,0.0882352941176,0.513817051849
+symmetric,0.6667,r,0.117647058824,0.574873432008
+symmetric,0.6667,r,0.147058823529,0.622558824923
+symmetric,0.6667,r,0.176470588235,0.660168902377
+symmetric,0.6667,r,0.205882352941,0.689778419218
+symmetric,0.6667,r,0.235294117647,0.71284265599
+symmetric,0.6667,r,0.264705882353,0.730462044635
+symmetric,0.6667,r,0.294117647059,0.74351450964
+symmetric,0.6667,r,0.323529411765,0.752728061806
+symmetric,0.6667,r,0.352941176471,0.758723616663
+symmetric,0.6667,r,0.382352941176,0.762041861329
+symmetric,0.6667,r,0.411764705882,0.763161098876
+symmetric,0.6667,r,0.441176470588,0.762509778938
+symmetric,0.6667,r,0.470588235294,0.760475811172
+symmetric,0.6667,r,0.5,0.757413908049
+symmetric,0.6667,r,0.529411764706,0.753651739956
+symmetric,0.6667,r,0.558823529412,0.749495432047
+symmetric,0.6667,r,0.588235294118,0.745234802783
+symmetric,0.6667,r,0.617647058824,0.741148698405
+symmetric,0.6667,r,0.647058823529,0.737510802467
+symmetric,0.6667,r,0.676470588235,0.734596403976
+symmetric,0.6667,r,0.705882352941,0.732690827783
+symmetric,0.6667,r,0.735294117647,0.732100651263
+symmetric,0.6667,r,0.764705882353,0.733169637141
+symmetric,0.6667,r,0.794117647059,0.736302925963
+symmetric,0.6667,r,0.823529411765,0.742006486285
+symmetric,0.6667,r,0.852941176471,0.750956908231
+symmetric,0.6667,r,0.882352941176,0.764137934324
+symmetric,0.6667,r,0.911764705882,0.783146171919
+symmetric,0.6667,r,0.941176470588,0.811029250336
+symmetric,0.6667,r,0.970588235294,0.855594006669
+"""
+
+GOLDEN_GAME_ASYMMETRIC = """\
+# command: satnav game --mode asymmetric --p 0.6667 --responses 33
+# seed: 0
+# version: 0.1.0
+mode,p,variable,opponent_trust,best_response
+asymmetric,0.6667,q,0.0294117647059,1
+asymmetric,0.6667,q,0.0588235294118,1
+asymmetric,0.6667,q,0.0882352941176,1
+asymmetric,0.6667,q,0.117647058824,1
+asymmetric,0.6667,q,0.147058823529,1
+asymmetric,0.6667,q,0.176470588235,1
+asymmetric,0.6667,q,0.205882352941,1
+asymmetric,0.6667,q,0.235294117647,1
+asymmetric,0.6667,q,0.264705882353,1
+asymmetric,0.6667,q,0.294117647059,0.998523229176
+asymmetric,0.6667,q,0.323529411765,0.961858321083
+asymmetric,0.6667,q,0.352941176471,0.925973001178
+asymmetric,0.6667,q,0.382352941176,0.890842667005
+asymmetric,0.6667,q,0.411764705882,0.85644374055
+asymmetric,0.6667,q,0.441176470588,0.82275361546
+asymmetric,0.6667,q,0.470588235294,0.789750607509
+asymmetric,0.6667,q,0.5,0.757413908049
+asymmetric,0.6667,q,0.529411764706,0.725723540259
+asymmetric,0.6667,q,0.558823529412,0.694660317994
+asymmetric,0.6667,q,0.588235294118,0.664205807047
+asymmetric,0.6667,q,0.617647058824,0.63434228867
+asymmetric,0.6667,q,0.647058823529,0.605052725197
+asymmetric,0.6667,q,0.676470588235,0.576320727634
+asymmetric,0.6667,q,0.705882352941,0.548130525073
+asymmetric,0.6667,q,0.735294117647,0.520466935833
+asymmetric,0.6667,q,0.764705882353,0.493315340192
+asymmetric,0.6667,q,0.794117647059,0.466661654626
+asymmetric,0.6667,q,0.823529411765,0.440492307448
+asymmetric,0.6667,q,0.852941176471,0.41479421577
+asymmetric,0.6667,q,0.882352941176,0.389554763687
+asymmetric,0.6667,q,0.911764705882,0.36476178163
+asymmetric,0.6667,q,0.941176470588,0.3404035268
+asymmetric,0.6667,q,0.970588235294,0.316468664622
+asymmetric,0.6667,r,0.0294117647059,0.221705003028
+asymmetric,0.6667,r,0.0588235294118,0.306407433528
+asymmetric,0.6667,r,0.0882352941176,0.370023395238
+asymmetric,0.6667,r,0.117647058824,0.422845031567
+asymmetric,0.6667,r,0.147058823529,0.468650876198
+asymmetric,0.6667,r,0.176470588235,0.509264092644
+asymmetric,0.6667,r,0.205882352941,0.545696436762
+asymmetric,0.6667,r,0.235294117647,0.57856260622
+asymmetric,0.6667,r,0.264705882353,0.608264308685
+asymmetric,0.6667,r,0.294117647059,0.635083743642
+asymmetric,0.6667,r,0.323529411765,0.659235684478
+asymmetric,0.6667,r,0.352941176471,0.680898349556
+asymmetric,0.6667,r,0.382352941176,0.70023234485
+asymmetric,0.6667,r,0.411764705882,0.717392364428
+asymmetric,0.6667,r,0.441176470588,0.732534229372
+asymmetric,0.6667,r,0.470588235294,0.745818817656
+asymmetric,0.6667,r,0.5,0.757413908049
+asymmetric,0.6667,r,0.529411764706,0.76749467361
+asymmetric,0.6667,r,0.558823529412,0.776243395247
+asymmetric,0.6667,r,0.588235294118,0.783848866905
+asymmetric,0.6667,r,0.617647058824,0.790505907637
+asymmetric,0.6667,r,0.647058823529,0.796415377459
+asymmetric,0.6667,r,0.676470588235,0.801785123932
+asymmetric,0.6667,r,0.705882352941,0.806832393237
+asymmetric,0.6667,r,0.735294117647,0.81178848319
+asymmetric,0.6667,r,0.764705882353,0.816906923344
+asymmetric,0.6667,r,0.794117647059,0.822477526306
+asymmetric,0.6667,r,0.823529411765,0.828850967454
+asymmetric,0.6667,r,0.852941176471,0.836484023457
+asymmetric,0.6667,r,0.882352941176,0.846030120951
+asymmetric,0.6667,r,0.911764705882,0.85854512336
+asymmetric,0.6667,r,0.941176470588,0.876058122482
+asymmetric,0.6667,r,0.970588235294,0.903849623987
+"""
+
+GOLDEN_COUNTING_SPIKE = """\
+# command: satnav optimize --fixture spike --p 0.75 --start X --mode counting
+# seed: 0
+# version: 0.1.0
+p,policy,value
+0.75,q2=1;q3=0.550510257217,5.05554839633
+"""
+
+GOLDEN_COUNTING_TREE = """\
+# command: satnav optimize --fixture tree --curve 0.05:0.95:0.05 --start A \
+--mode counting
+# seed: 0
+# version: 0.1.0
+p,policy,value
+0.05,q2=0.186605496863;q3=0.139578756837,6.68745856579
+0.1,q2=0.25;q3=0.190743569831,7.7461731573
+0.15,q2=0.295816316324;q3=0.229016288334,8.47645700662
+0.2,q2=0.333333333333;q3=0.261203874964,9.00783837972
+0.25,q2=0.366025403784;q3=0.289897948557,9.39171977497
+0.3,q2=0.395643923739;q3=0.316430972583,9.65482654703
+0.35,q2=0.423232002362;q3=0.341617766486,9.81302073816
+0.4,q2=0.449489742783;q3=0.366025403784,9.87639564448
+0.45,q2=0.474937185533;q3=0.390095944575,9.85153884727
+0.5,q2=0.5;q3=0.414213562373,9.74264068712
+0.55,q2=0.525062814467;q3=0.438749611353,9.55204010355
+0.6,q2=0.550510257217;q3=0.464101615138,9.28043646506
+0.65,q2=0.576767997638;q3=0.490737563232,8.92683897774
+0.7,q2=0.604356076261;q3=0.519259301592,8.48822049144
+0.75,q2=0.633974596216;q3=0.550510257217,7.95870707308
+0.8,q2=0.666666666667;q3=0.585786437627,7.32783837972
+0.85,q2=0.704183683676;q3=0.627317732876,6.57655701662
+0.9,q2=0.75;q3=0.679622758983,5.6661731573
+0.95,q2=0.813394503137;q3=0.755034470414,4.49515766087
+"""
+
 
 def assert_golden(capsys, golden):
     argv = golden.splitlines()[0].removeprefix("# command: satnav ").split()
@@ -386,6 +592,22 @@ def test_solve_golden_bytes(capsys, golden):
 @pytest.mark.parametrize("golden", [GOLDEN_LINE_UNIT, GOLDEN_LINE_LENGTHS],
                          ids=["unit-arcs", "lengths"])
 def test_line_golden_bytes(capsys, golden):
+    assert_golden(capsys, golden)
+
+
+# Best responses read the payoff's coefficient table; counting-mode grid
+# ends are scored on the trust line.
+@pytest.mark.parametrize("golden", [GOLDEN_GAME_SYMMETRIC,
+                                    GOLDEN_GAME_ASYMMETRIC],
+                         ids=["symmetric", "asymmetric"])
+def test_game_responses_golden_bytes(capsys, golden):
+    assert_golden(capsys, golden)
+
+
+@pytest.mark.parametrize("golden", [GOLDEN_COUNTING_SPIKE,
+                                    GOLDEN_COUNTING_TREE],
+                         ids=["spike", "tree-curve"])
+def test_optimize_counting_golden_bytes(capsys, golden):
     assert_golden(capsys, golden)
 
 
