@@ -251,6 +251,9 @@ def cmd_game(args, argv) -> int:
         if args.p is None:
             raise ValidationError("--responses needs a single --p")
         n = args.responses
+        if n > MAX_GRID_POINTS:
+            raise ValidationError(f"--responses {n} exceeds the limit of "
+                                  f"{MAX_GRID_POINTS} points")
         grid = [(i + 1) / (n + 1) for i in range(n)]
         curves = game.best_response_curves(args.p, args.mode, grid)
         rows = [[args.mode, args.p, "q", g, r]

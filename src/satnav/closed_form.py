@@ -105,18 +105,20 @@ def bridge_M(n: int, p: float, q: float) -> float:
     across a bridge arc is c + M * (sum of return times)."""
     if n < 2:
         raise ValidationError(f"bridge degree n={n} must be >= 2")
+    check_probability("reliability p", p)
     _check_open_unit("trust q", q)
     return (p - 2.0 * q + q * q + n * q - n * p * q) / (q * (1.0 - q) * (n - 1))
 
 
 def star_time(s: StarSpec, p: float, q: float) -> float:
-    """Expected time from the star center to home under trust q."""
-    _check_open_unit("trust q", q)
+    """Expected time from the star center to home under trust q; bridge_M
+    checks p and q."""
     return s.c + 2.0 * bridge_M(s.n, p, q) * s.alpha
 
 
 def bridge_time(b: BridgeSpec, p: float, q: float) -> float:
-    """Expected time to home across the bridge arc: c + M * beta."""
+    """Expected time to home across the bridge arc: c + M * beta; bridge_M
+    checks p and q."""
     return b.c + bridge_M(b.n, p, q) * b.beta
 
 
@@ -125,6 +127,7 @@ def line_z(p: float, q: float) -> float:
 
     At the optimal trust it simplifies to 2 sqrt(p (1 - p)).
     """
+    check_probability("reliability p", p)
     _check_open_unit("trust q", q)
     return (q * q - 2.0 * p * q + p) / (q * (1.0 - q))
 

@@ -52,8 +52,11 @@ BLOCK = 1024  # directions per stacked solve in expected_profile
 # the most final states (directions x trusts x Taylor coefficients) that a
 # TrustLine eliminates at once; more run in halves of the states, so that
 # the search's peak memory stays near the exact path's at any number of
-# directions
-STATE_BUDGET = 2**12
+# directions. On a 2-core x86 box, optimize_uniform on a 3x3 grid (2,592
+# directions) took 0.029-0.030 s at 2**13, 0.032-0.040 s at 2**12 and
+# 0.032-0.036 s at 2**14, at a peak RSS of 34.3, 34.0 and 34.9 MB; 2**16
+# was slower still and took 8 MB more
+STATE_BUDGET = 2**13
 
 
 @dataclass(frozen=True)
@@ -251,25 +254,31 @@ class TrustLine:
 
     The non-home nodes are eliminated one at a time: leaves first, then
     branch nodes by ascending degree, the start last. A state holds, for
-    every remaining node, one candidate row per pointer slot: its entries
-    toward the remaining nodes, an exit-to-home entry and its expected step
-    length. Eliminating node i splits each state into one per slot s of i
-    with pointer chance mu_i(s) > 0, and adds (entry into i / S) x the
-    pivot row to every other row, where S sums the pivot row's entries to
-    everything but i; S is a sum, so no step subtracts (Grassmann, Taksar
-    and Heyman, Operations Research 33(5), 1985). Every direction extending
-    a prefix of pointers shares that prefix's work. At the start
-    T = length / S; the expected time averages T over the slots of the last
-    node eliminated, then of the one before, and so on, so that the
-    contributions of mirror-image directions cancel exactly.
+    every remaining node, one candidate row per pointer slot of positive
+    chance: its entries toward the remaining nodes, an exit-to-home entry
+    and its expected step length. Eliminating node i splits each state into
+    one per slot s of i, of pointer chance mu_i(s), and adds
+    (entry into i / S) x the pivot row to every other row, where S sums the
+    pivot row's entries to everything but i; S is a sum, so no step
+    subtracts (Grassmann, Taksar and Heyman, Operations Research 33(5),
+    1985). Every direction extending a prefix of pointers shares that
+    prefix's work. At the start T = length / S; the expected time averages
+    T over the slots of the last node eliminated, then of the one before,
+    and so on, so that the contributions of mirror-image directions cancel
+    exactly.
 
-    The arrays carry truncated Taylor coefficients in q on a leading axis,
-    then trusts: `values` runs order 0 at all its trusts at once,
-    `derivatives` order 2 at one trust. Along the coordinate every entry is
-    affine in q, +1 on the pointer slot and -1/(deg-1) on each other slot
-    of its rows. States are worked in pieces of at most STATE_BUDGET final
-    values, which keeps peak memory nearly flat in the number of
-    directions.
+    The arrays are laid out x[coefficient, row, entry, state, trust]:
+    truncated Taylor coefficients in q lead, and the states and trusts form
+    one contiguous batch on the innermost axes, so that every numpy call of
+    the elimination runs over long runs rather than over a row's few
+    entries. `values` runs order 0 at all its trusts at once, `derivatives`
+    order 2 at one trust; each (state, trust) is worked by the same
+    operations in the same order whatever else is in its batch, so a value
+    does not depend on the other trusts asked for or on STATE_BUDGET.
+    Along the coordinate every entry is affine in q, +1 on the pointer slot
+    and -1/(deg-1) on each other slot of its rows. States are worked in
+    pieces of at most STATE_BUDGET final values, which keeps peak memory
+    nearly flat in the number of directions.
 
     A branch node with a step chance of 0 (a trust of 0 or 1) is split
     before anything is eliminated, so that each state knows which nodes
@@ -291,13 +300,16 @@ class TrustLine:
         order = [] if origin == form.home else sorted(
             (i for i in form.nonhome if i != origin),
             key=lambda i: form.degree[i] if i in branch else 0) + [origin]
-        self.sizes = [form.degree[i] if i in branch else 1 for i in order]
-        self.first = np.cumsum([0] + self.sizes)  # each node's first row
         mu = pointer_table(net, shortest_paths(net), space.reliability)
-        self.mus = [mu[i, :d] if i in branch else np.ones(1)
-                    for i, d in zip(order, self.sizes)]
-        rows = np.concatenate([form.row_start[i] + np.arange(d)
-                               for i, d in zip(order, self.sizes)]
+        # a pointer slot of chance 0 never occurs, so it gets no row
+        slots = [np.flatnonzero(mu[i, :form.degree[i]]) if i in branch
+                 else np.zeros(1, dtype=int) for i in order]
+        self.mus = [mu[i, s] if i in branch else np.ones(1)
+                    for i, s in zip(order, slots)]
+        self.sizes = [len(s) for s in slots]
+        self.first = np.cumsum([0] + self.sizes)  # each node's first row
+        rows = np.concatenate([form.row_start[i] + s
+                               for i, s in zip(order, slots)]
                               or [np.zeros(0, dtype=int)])
         self.row_node = np.repeat(np.arange(len(order)), self.sizes)
         col = np.full(len(form.nodes), len(order))  # home: the exit column
@@ -343,14 +355,16 @@ class TrustLine:
         probs = np.where(self.slope > 0.0, q, np.where(
             self.slope < 0.0, (1.0 - q) / self.spread, self.low))
         zero = ((probs == 0.0) & self.arc).any(axis=(0, 2))
-        sharp = [i for i, d in enumerate(self.sizes)
-                 if d > 1 and zero[self.first[i]:self.first[i + 1]].any()]
-        counts = [np.count_nonzero(self.mus[i]) for i in sharp]
+        sharp = [i for i in range(len(self.sizes))
+                 if zero[self.first[i]:self.first[i + 1]].any()]
+        counts = [self.sizes[i] for i in sharp]
         states = math.prod(counts)
-        picks = dict(zip(sharp, np.indices(counts).reshape(len(sharp), states)))
+        # the last split node's pick varies slowest, as _average's slots do
+        picks = dict(zip(sharp, np.indices(counts[::-1]).reshape(
+            len(sharp), states)[::-1]))
         # rows[state, row]: the state's pick at a split node, else every slot
-        parts = [self.first[i] + (np.flatnonzero(self.mus[i])[picks[i], None]
-                                  if i in picks else np.arange(d)[None])
+        parts = [self.first[i] + (picks[i][:, None] if i in picks
+                                  else np.arange(d)[None])
                  for i, d in enumerate(self.sizes)]
         rows = np.hstack([np.broadcast_to(r, (states, r.shape[1])) for r in parts])
         # x[coefficient, trust, state, row, entry]
@@ -369,15 +383,16 @@ class TrustLine:
             gone = np.take_along_axis(lost, self.row_node[rows][None], axis=-1)
             x[:, gone] = 0.0
             x[0, ..., -2][gone] = 1.0
-        sizes = [1 if i in picks else d for i, d in enumerate(self.sizes)]
         mus = [np.ones(1) if i in picks else mu for i, mu in enumerate(self.mus)]
-        x = _average(x, sizes, mus)
+        # batch-last: x[coefficient, row, entry, state, trust]
+        x = _average(np.ascontiguousarray(x.transpose(0, 3, 4, 2, 1)), mus)
         if sharp:
-            x = np.where(lost[..., -1], math.inf, x)
+            x = np.where(lost[..., -1].T, math.inf, x)
         # then over the split nodes' picks, the last split node first
-        for mu in reversed([self.mus[i] for i in sharp]):
-            x = x.reshape(x.shape[:2] + (-1, np.count_nonzero(mu))) @ mu[mu > 0.0]
-        return x[..., 0]
+        for i in reversed(sharp):
+            x = _mean(x.reshape((len(x), self.sizes[i], -1, x.shape[-1])),
+                      self.mus[i])
+        return x[:, 0]
 
     def values(self, trusts) -> np.ndarray:
         """Expected time from the start at each trust."""
@@ -390,50 +405,69 @@ class TrustLine:
         return value, slope, 2.0 * half_curvature
 
 
-def _average(x: np.ndarray, sizes: list[int], mus: list[np.ndarray]
-             ) -> np.ndarray:
-    """Eliminate the node whose rows lead x[coefficient, trust, state, row,
-    entry], then each later one; node k has sizes[k] rows and pointer
-    chances mus[k]. Returns T at the start averaged over the slots of the
-    last node eliminated, then of the one before, and so on: one average
-    per state of x. While the states of x would end in more than
-    STATE_BUDGET values of T, each half of them runs in turn."""
-    states = x.shape[2]
-    if states > 1 and (math.prod(x.shape[:3]) * math.prod(
-            np.count_nonzero(mu) for mu in mus) > STATE_BUDGET):
-        return np.concatenate([_average(x[:, :, :states // 2], sizes, mus),
-                               _average(x[:, :, states // 2:], sizes, mus)],
-                              axis=2)
-    d, mu = sizes[0], mus[0]
-    kept = mu > 0.0
-    pivot, rest = x[..., :d, :][..., kept, :], x[..., d:, :]
-    exits = pivot[..., 1:-1].sum(axis=-1)
-    if len(sizes) == 1:  # the start
-        return _div(pivot[..., -1], exits) @ mu[kept]
-    x = rest[..., None, :, 1:] + _mul(
-        _div(rest[..., None, :, 0], exits[..., None])[..., None],
-        pivot[..., None, 1:])
-    t = _average(x.reshape(x.shape[:2] + (-1,) + x.shape[-2:]),
-                 sizes[1:], mus[1:])
-    return t.reshape(t.shape[:2] + (states, -1)) @ mu[kept]
+def _average(x: np.ndarray, mus: list[np.ndarray]) -> np.ndarray:
+    """Eliminate the node whose rows lead x[coefficient, row, entry, state,
+    trust], then each later one; node k has one row per pointer chance in
+    mus[k]. Returns T at the start, [coefficient, state, trust], averaged
+    over the slots of the last node eliminated, then of the one before, and
+    so on. States and trusts form one contiguous batch on the innermost
+    axes, so that every numpy call runs over long runs: a split writes its
+    child states slot-major, [..., slot, state, trust], and no sum runs
+    along the batch, so no value depends on the batch it ran in. While the
+    states of x would end in more than STATE_BUDGET values of T, each half
+    of them runs in turn."""
+    states = x.shape[3]
+    if states > 1 and (len(x) * states * x.shape[4] * math.prod(
+            map(len, mus)) > STATE_BUDGET):
+        return np.concatenate([_average(x[..., :states // 2, :], mus),
+                               _average(x[..., states // 2:, :], mus)], axis=1)
+    mu = mus[0]
+    pivot, rest = x[:, :len(mu)], x[:, len(mu):]
+    exits = pivot[:, :, 1]
+    for e in range(2, pivot.shape[2] - 1):  # in entry order
+        exits = exits + pivot[:, :, e]
+    if len(mus) == 1:  # the start
+        return _mean(_div(pivot[:, :, -1], exits), mu)
+    # x[coefficient, row, entry, slot, state, trust]
+    x = _mul(_div(rest[:, :, 0, None], exits[:, None])[:, :, None],
+             pivot[:, None, :, 1:].swapaxes(2, 3))
+    x += rest[:, :, 1:, None]
+    t = _average(x.reshape(x.shape[:3] + (-1, x.shape[-1])), mus[1:])
+    return _mean(t.reshape((len(t), len(mu), states, -1)), mu)
+
+
+def _mean(t: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sum_j mu[j] t[:, j], added in slot order."""
+    total = t[:, 0] * mu[0]
+    for j in range(1, len(mu)):
+        total += t[:, j] * mu[j]
+    return total
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of truncated Taylor series, coefficients on axis 0."""
     if len(a) == 1:
         return a * b
-    return np.stack([sum(a[i] * b[k - i] for i in range(k + 1))
-                     for k in range(len(a))])
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(len(a)):
+        np.multiply(a[0], b[k], out=out[k])
+        for i in range(1, k + 1):
+            out[k] += a[i] * b[k - i]
+    return out
 
 
 def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quotient of truncated Taylor series, coefficients on axis 0."""
     if len(a) == 1:
         return a / b
-    out = []
-    for k in range(len(a)):
-        out.append((a[k] - sum(out[i] * b[k - i] for i in range(k))) / b[0])
-    return np.stack(out)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.divide(a[0], b[0], out=out[0])
+    for k in range(1, len(a)):
+        low = out[0] * b[k]
+        for i in range(1, k):
+            low += out[i] * b[k - i]
+        np.divide(a[k] - low, b[0], out=out[k])
+    return out
 
 
 def simulate(

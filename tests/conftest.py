@@ -60,6 +60,26 @@ def line_network(lengths, home=None):
     return build_network(str(len(lengths)) if home is None else home, arcs)
 
 
+def grid3x3():
+    """3x3 grid, home at a corner, arc lengths 1..3: 2,592 directions."""
+    arcs = []
+    for i in range(3):
+        for j in range(3):
+            if j < 2:
+                arcs.append((f"h{i}{j}", f"r{i}c{j}", f"r{i}c{j + 1}",
+                             1 + (i + 2 * j) % 3))
+            if i < 2:
+                arcs.append((f"v{i}{j}", f"r{i}c{j}", f"r{i + 1}c{j}",
+                             1 + (2 * i + j) % 3))
+    return build_network("r0c0", arcs)
+
+
+# a chain of three triangles a{k-1}-x{k}-a{k}, home a0; a1 and a2 have degree 4
+CACTUS3 = [("t1a", "a0", "x1", 1), ("t1b", "x1", "a1", 2), ("t1c", "a0", "a1", 3),
+           ("t2a", "a1", "x2", 2), ("t2b", "x2", "a2", 1), ("t2c", "a1", "a2", 1),
+           ("t3a", "a2", "x3", 3), ("t3b", "x3", "a3", 1), ("t3c", "a2", "a3", 2)]
+
+
 def quiet_network(home, arcs):
     """build_network without the cut-home warning (generators hit it a lot)."""
     with warnings.catch_warnings():

@@ -322,6 +322,18 @@ def test_grid_with_too_many_points_exits_two():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("count", ["100001", "1000000000"])
+def test_too_many_responses_exit_two(count):
+    # a subprocess with a timeout, as above: without the point cap a count
+    # of 1e9 builds its grid point by point for hours
+    proc = subprocess.run([sys.executable, "-m", "satnav", "game", "--mode",
+                           "symmetric", "--p", "0.7", "--responses", count],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert f"--responses {count} exceeds the limit of 100000 points" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_outputs_are_reproducible(capsys):
     args = ("solve", "--fixture", "triangle", "--p", "0.75", "--q", "0.68",
             "--start", "A", "--simulate", "5000", "--seed", "11")

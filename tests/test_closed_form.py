@@ -247,6 +247,18 @@ def test_line_z_equals_degree_two_bridge_M():
     assert line_z(0.9, 0.7) == pytest.approx(bridge_M(2, 0.9, 0.7), abs=1e-12)
 
 
+@pytest.mark.parametrize("formula", [
+    lambda p: line_z(p, 0.9),
+    lambda p: bridge_M(3, p, 0.5),
+    lambda p: star_time(StarSpec(3, 1.0, (1.0, 2.0)), p, 0.5),
+    lambda p: bridge_time(BridgeSpec(3, 1.0, (1.0, 2.0)), p, 0.5),
+], ids=["line_z", "bridge_M", "star_time", "bridge_time"])
+@pytest.mark.parametrize("p", [1.5, -0.25, math.nan])
+def test_formulas_reject_a_bad_reliability(formula, p):
+    with pytest.raises(ValidationError, match="reliability p"):
+        formula(p)
+
+
 def test_line_coefficients_invariant():
     for p in (0.3, 0.6, 0.75, 0.9):
         coeff = line_coefficients(p)

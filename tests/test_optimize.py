@@ -22,10 +22,17 @@ from satnav import (
     tree_solve_counting,
     trust_curve,
 )
-from conftest import rational_expected_profile, small_networks, star_network
+from conftest import (
+    CACTUS3,
+    grid3x3,
+    rational_expected_profile,
+    small_networks,
+    star_network,
+)
 from satnav import fixtures as fx
 from satnav.network import classify
 from satnav.optimize import EPS, _grid, _grid_winner, _search
+from satnav import solver
 from satnav.solver import TrustLine
 
 
@@ -142,6 +149,32 @@ def test_trust_line_makes_no_lapack_call(monkeypatch, tree):
     assert calls == []
     expected_time(tree, 0.75, Uniform(0.3), "A", space=space)
     assert calls  # the wrapper does see the exact path's solves
+
+
+@pytest.mark.parametrize("net, start, policy_at", [
+    (grid3x3(), "r2c2", Uniform),
+    (build_network("a0", CACTUS3), "a3", lambda q: ByDegree({2: q, 4: 0.5})),
+], ids=["grid3x3-uniform", "cactus3-degree2"])
+def test_trust_line_results_do_not_depend_on_the_state_budget(
+        monkeypatch, net, start, policy_at):
+    line = TrustLine(net, enumerate_direction_space(net, p=0.75), start,
+                     policy_at)
+
+    def results():
+        return (line.values(_grid(EPS, 1 - EPS, 101)).tolist(),
+                line.values([0.0, 1.0]).tolist(),
+                [line.derivatives(q) for q in (0.0, 0.3, 0.7, 1.0)])
+
+    whole = results()
+    monkeypatch.setattr(solver, "STATE_BUDGET", 2**6)
+    assert results() == whole
+
+
+def test_trust_line_trusts_do_not_interact():
+    grid = _grid(EPS, 1 - EPS, 101)
+    for name, start, line in trust_lines(0.75):
+        alone = [line.values([q])[0] for q in grid]
+        assert alone == line.values(grid).tolist(), (name, start)
 
 
 class StubLine:

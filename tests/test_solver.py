@@ -26,7 +26,7 @@ from satnav import (
 from satnav import fixtures as fx
 from satnav.pointers import compile_network, step_table
 from satnav.solver import BLOCK, TimeProfile, profile_residual
-from conftest import small_networks
+from conftest import CACTUS3, grid3x3, small_networks
 
 # a direction is a row of pointer slots, one per branch node in node order;
 # slot s is the node's s-th incident arc in the order the arcs were given
@@ -103,20 +103,6 @@ def test_block_rows_equal_single_direction_solves(name, policy):
         assert block[k].tolist() == single.tolist()
     if name == "triangle":
         assert np.isinf(block).any() and np.isfinite(block[:, :2]).any()
-
-
-def grid3x3():
-    """3x3 grid, home at a corner, arc lengths 1..3: 2,592 directions."""
-    arcs = []
-    for i in range(3):
-        for j in range(3):
-            if j < 2:
-                arcs.append((f"h{i}{j}", f"r{i}c{j}", f"r{i}c{j + 1}",
-                             1 + (i + 2 * j) % 3))
-            if i < 2:
-                arcs.append((f"v{i}{j}", f"r{i}c{j}", f"r{i + 1}c{j}",
-                             1 + (2 * i + j) % 3))
-    return build_network("r0c0", arcs)
 
 
 def test_expected_profile_is_the_in_order_sum_of_single_solves():
@@ -276,11 +262,6 @@ def test_simulate_deterministic(tree):
     a = simulate(tree, 0.75, Uniform(0.6), "A", 5000, seed=7)
     b = simulate(tree, 0.75, Uniform(0.6), "A", 5000, seed=7)
     assert a == b
-
-
-CACTUS3 = [("t1a", "a0", "x1", 1), ("t1b", "x1", "a1", 2), ("t1c", "a0", "a1", 3),
-           ("t2a", "a1", "x2", 2), ("t2b", "x2", "a2", 1), ("t2c", "a1", "a2", 1),
-           ("t3a", "a2", "x3", 3), ("t3b", "x3", "a3", 1), ("t3c", "a2", "a3", 2)]
 
 
 @pytest.mark.parametrize("net,p,policy,start,n,max_time,seed,want", [
