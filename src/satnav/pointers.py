@@ -144,11 +144,13 @@ def sample_pointer_slots(net: Network, spd: ShortestPathData, p: float,
 
     A uniform u picks the number of cumulative pointer probabilities at or
     below it; the last one is left out, as if it were 1.0, since u < 1.
-    Slots come in the smallest unsigned dtype that holds the top degree.
+    Slots come in the smallest unsigned dtype that holds every table row
+    number, so that `row_start` can be added to them in place.
     """
     mu = pointer_table(net, spd, p)
     form = compile_network(net)
-    ptr = np.zeros((n, len(form.nodes)), dtype=np.min_scalar_type(max(form.degree)))
+    ptr = np.zeros((n, len(form.nodes)),
+                   dtype=np.min_scalar_type(len(form.row_node) - 1))
     for i in form.branch:
         u = rng.random(n)
         for c in np.cumsum(mu[i, :form.degree[i] - 1]):

@@ -23,7 +23,14 @@ It stays accurate at the trusts near 0 and 1 where the dense LU loses a
 near trap's escape mass.
 
 A vectorized Monte Carlo walker provides an independent check on all of the
-exact machinery.
+exact machinery. It keeps every walk's drawn pointers as one table row per
+(walk, node), and each live walk as one int32 flat (walk, node) index into
+them plus its time; a step runs the live walks in chunks of WALK_CHUNK and
+moves the survivors to the front of the same arrays. With a table of at
+most 256 rows the walker holds n_nodes + 12 bytes per walk, and 8 more for
+its finish time; its draws are one uniform per live walk per step, whatever
+the chunk. n_walks x n_nodes above 2**31 - 1 raises ValidationError before
+any draw.
 """
 
 from __future__ import annotations
@@ -57,6 +64,12 @@ BLOCK = 1024  # directions per stacked solve in expected_profile
 # 0.032-0.036 s at 2**14, at a peak RSS of 34.3, 34.0 and 34.9 MB; 2**16
 # was slower still and took 8 MB more
 STATE_BUDGET = 2**13
+# live walks per chunk of one walker step, so that the step's temporaries
+# have this length whatever the number of walks. On a 2-core x86 box, 10**6
+# walks on a cactus of 6 triangles took a median of 1.02, 0.99, 0.97 and
+# 1.08 s at 2**12, 2**13, 2**14 and 2**16 (8 runs each), at a peak RSS of
+# 70.6, 70.6, 70.5 and 73.1 MB
+WALK_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -485,10 +498,16 @@ def simulate(
     distribution until home or until the accumulated time reaches
     `max_time` (default 1e4 x distance(start); it must be finite and
     positive). Censored walks are excluded from the mean and counted,
-    never silently truncated. `seed` must be non-negative.
+    never silently truncated. `seed` must be non-negative, and `n_walks`
+    times the number of nodes at most 2**31 - 1, so that every walk's
+    place fits one int32 index.
     """
     if n_walks < 1:
         raise ValidationError("n_walks must be >= 1")
+    if n_walks * len(net.nodes) > np.iinfo(np.int32).max:
+        raise ValidationError(
+            f"n_walks={n_walks} walks x {len(net.nodes)} nodes exceed the "
+            f"walker's {np.iinfo(np.int32).max} (walk, node) entries")
     if seed < 0:
         raise ValidationError(f"seed={seed} must be non-negative")
     steps = step_table(net, policy)
@@ -506,49 +525,66 @@ def simulate(
     # the table row of every (walk, node) under the walk's drawn pointers,
     # walk after walk: walk w at node i reads rows[w * n_nodes + i]
     n_nodes, width = len(form.nodes), steps.cum.shape[1]
-    rows = (sample_pointer_slots(net, spd, p, n_walks, rng)
-            + form.row_start.astype(np.min_scalar_type(len(form.row_node) - 1))
-            ).ravel()
-    # entry row * width + s: where slot s of that row's node leads, and its length
-    row_dest = form.dest[form.row_node].astype(np.int32).ravel()
+    rows = sample_pointer_slots(net, spd, p, n_walks, rng)
+    rows += form.row_start.astype(rows.dtype)
+    rows = rows.ravel()
+    # entry row * width + s: how far slot s of that row's node moves the
+    # flat (walk, node) index, whether it arrives home, and its length
+    dest = form.dest[form.row_node]
+    delta = (dest - form.row_node[:, None]).astype(np.int32).ravel()
+    home_at = (dest == form.home).ravel()
     row_len = form.alen[form.row_node].ravel()
+    longest = float(row_len.max())
+    thresholds = steps.cum.T[:-1]
 
-    pos = np.full(n_walks, form.index[start], dtype=np.int32)
-    times = np.zeros(n_walks)
-    at = np.arange(0, n_walks * n_nodes, n_nodes)
-    hit_times: list[np.ndarray] = []
+    # finish times in finish order; a start at home finishes every walk at 0
+    finished = np.zeros(n_walks)
+    live = 0 if form.index[start] == form.home else n_walks
+    done = n_walks - live
+    # at[j]: live walk j's flat (walk, node) index into rows
+    at = np.arange(form.index[start], live * n_nodes, n_nodes, dtype=np.int32)
+    times = np.zeros(live)
     censored = 0
+    reach = 0.0  # no walk's time is above it: one longest arc per step
+    while live:
+        reach += longest
+        censor = reach >= max_time
+        kept = 0
+        # chunks draw consecutive uniforms, the stream of one draw per step;
+        # survivors move to the front, never past the chunk being read
+        for lo in range(0, live, WALK_CHUNK):
+            hi = min(lo + WALK_CHUNK, live)
+            u = rng.random(hi - lo)
+            row = rows[at[lo:hi]].astype(np.intp)
+            # the slot is the number of cumulative step chances below u; the
+            # last column of a row is 1.0, and u < 1, so it is never compared
+            k = row * width
+            for threshold in thresholds:
+                k += u > threshold[row]
+            t = times[lo:hi] + row_len[k]
+            home = home_at[k]
+            n_home = np.count_nonzero(home)
+            finished[done:done + n_home] = t[home]
+            done += n_home
+            keep = ~home
+            if censor:
+                over = keep & (t >= max_time)
+                censored += int(np.count_nonzero(over))
+                keep &= ~over
+            moved = at[lo:hi] + delta[k]
+            n_keep = np.count_nonzero(keep)
+            times[kept:kept + n_keep] = t[keep]
+            at[kept:kept + n_keep] = moved[keep]
+            kept += n_keep
+        live = kept
+    del rows, at, times  # the statistics need only the finish times
 
-    active = pos != form.home
-    pos, times, at = pos[active], times[active], at[active]
-    if n_walks - len(pos) > 0:
-        hit_times.append(np.zeros(n_walks - len(pos)))
-
-    while len(pos) > 0:
-        u = rng.random(len(pos))
-        row = rows[at + pos].astype(np.intp)
-        # the slot is the number of cumulative step chances below u; the
-        # last column of a row is 1.0, and u < 1, so it is never compared
-        k = row * width
-        for threshold in steps.cum.T[:-1]:
-            k += u > threshold[row]
-        times += row_len[k]
-        pos = row_dest[k]
-        done = pos == form.home
-        if done.any():
-            hit_times.append(times[done])
-        keep = ~done
-        over = keep & (times >= max_time)
-        censored += int(over.sum())
-        keep &= ~over
-        pos, times, at = pos[keep], times[keep], at[keep]
-
-    finished = np.concatenate(hit_times) if hit_times else np.array([])
-    if len(finished) == 0:
+    finished = finished[:done]
+    if done == 0:
         return SimulationResult(math.nan, math.nan, censored, n_walks, seed)
     mean = float(finished.mean())
-    if len(finished) > 1:
-        se = float(finished.std(ddof=1) / math.sqrt(len(finished)))
+    if done > 1:
+        se = float(finished.std(ddof=1) / math.sqrt(done))
     else:
         se = 0.0
     return SimulationResult(mean, se, censored, n_walks, seed)

@@ -237,6 +237,18 @@ def test_counts_below_one_exit_two(capsys, args):
     assert out == ""
 
 
+@pytest.mark.parametrize("walks", [10**12, (2**31 - 1) // 3 + 1],
+                         ids=["huge", "first-over"])
+def test_simulate_over_the_walker_index_exits_two(capsys, walks):
+    # walks x 3 nodes must fit an int32; the check comes before any draw
+    code, out, err = run_cli(capsys, "solve", "--fixture", "triangle",
+                             "--p", "0.75", "--q", "0.5", "--start", "A",
+                             "--simulate", str(walks))
+    assert code == 2
+    assert f"n_walks={walks} walks x 3 nodes exceed" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("lengths", ["-1,2,3", "nan,2,3", "inf,2"])
 def test_line_bad_lengths_exit_two(capsys, lengths):
     code, out, err = run_cli(capsys, "line", "--p", "0.75", "--max-j", "2",

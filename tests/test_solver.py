@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from satnav import (
     simulate,
 )
 from satnav import fixtures as fx
+from satnav import solver
 from satnav.pointers import compile_network, step_table
 from satnav.solver import BLOCK, TimeProfile, profile_residual
 from conftest import CACTUS3, grid3x3, small_networks
@@ -264,7 +266,7 @@ def test_simulate_deterministic(tree):
     assert a == b
 
 
-@pytest.mark.parametrize("net,p,policy,start,n,max_time,seed,want", [
+PINNED_DRAWS = [
     (fx.cycle(4), 0.75, Uniform(0.6), "C", 5000, None, 11,
      "SimulationResult(mean=3.7024, std_error=0.03691502934955322, "
      "censored=0, n_walks=5000, seed=11)"),
@@ -285,12 +287,48 @@ def test_simulate_deterministic(tree):
     (fx.tree(), 0.75, Uniform(0.6), "H", 1000, None, 0,
      "SimulationResult(mean=0.0, std_error=0.0, censored=0, n_walks=1000, "
      "seed=0)"),
-], ids=["c4", "spike-bydegree", "cactus3-a3", "cactus3-degree4", "triangle-censored",
-        "tree-at-home"])
+]
+PINNED_IDS = ["c4", "spike-bydegree", "cactus3-a3", "cactus3-degree4",
+              "triangle-censored", "tree-at-home"]
+
+
+@pytest.mark.parametrize("net,p,policy,start,n,max_time,seed,want",
+                         PINNED_DRAWS, ids=PINNED_IDS)
 def test_simulate_pinned_draws(net, p, policy, start, n, max_time, seed, want):
     # every digit: the walker's draws, their order and its summation order
     sim = simulate(net, p, policy, start, n, max_time=max_time, seed=seed)
     assert repr(sim) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("net,p,policy,start,n,max_time,seed,want",
+                         PINNED_DRAWS, ids=PINNED_IDS)
+def test_simulate_draws_do_not_depend_on_the_chunk(
+        monkeypatch, chunk, net, p, policy, start, n, max_time, seed, want):
+    # test_simulate_pinned_draws runs the default WALK_CHUNK
+    monkeypatch.setattr(solver, "WALK_CHUNK", chunk)
+    sim = simulate(net, p, policy, start, n, max_time=max_time, seed=seed)
+    assert repr(sim) == want
+
+
+def test_uniforms_drawn_in_pieces_are_one_stream():
+    # the walker's chunks rely on it: one draw per chunk is one draw per step
+    rng = np.random.default_rng(17)
+    pieces = np.concatenate([rng.random(3), rng.random(5)])
+    assert (pieces == np.random.default_rng(17).random(8)).all()
+
+
+def test_simulate_peak_memory_per_walk():
+    # numpy reports its buffers to tracemalloc, so this holds on any machine
+    net = build_network("a0", CACTUS3)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        simulate(net, 0.75, ByDegree({2: 0.7, 4: 0.5}), "a3", n, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(net.nodes) + 40) * n
 
 
 def test_simulate_perfect_information(tree):
