@@ -25,6 +25,12 @@ from .errors import CapExceeded, check_probability
 from .network import Network, ShortestPathData, classify, shortest_paths
 
 ENUMERATION_CAP = 10**6
+# walks per chunk of the Monte Carlo walker's pointer draws and of each of
+# its steps, so that their temporaries have this length whatever the number
+# of walks. On a 2-core x86 box, 10**6 walks on a cactus of 6 triangles
+# took a median of 1.02, 0.99, 0.97 and 1.08 s at 2**12, 2**13, 2**14 and
+# 2**16 (8 runs each), at a peak RSS of 70.6, 70.6, 70.5 and 73.1 MB
+WALK_CHUNK = 2**14
 
 
 class CompiledNetwork:
@@ -144,17 +150,23 @@ def sample_pointer_slots(net: Network, spd: ShortestPathData, p: float,
 
     A uniform u picks the number of cumulative pointer probabilities at or
     below it; the last one is left out, as if it were 1.0, since u < 1.
-    Slots come in the smallest unsigned dtype that holds every table row
-    number, so that `row_start` can be added to them in place.
+    A node's uniforms are drawn WALK_CHUNK at a time, the stream of one
+    draw of `n`, so the slots do not depend on the chunk and the draws need
+    no array of `n` uniforms. Slots come in the smallest unsigned dtype that
+    holds every table row number, so that `row_start` can be added to them
+    in place.
     """
     mu = pointer_table(net, spd, p)
     form = compile_network(net)
     ptr = np.zeros((n, len(form.nodes)),
                    dtype=np.min_scalar_type(len(form.row_node) - 1))
     for i in form.branch:
-        u = rng.random(n)
-        for c in np.cumsum(mu[i, :form.degree[i] - 1]):
-            ptr[:, i] += u >= c
+        cum = np.cumsum(mu[i, :form.degree[i] - 1])
+        for lo in range(0, n, WALK_CHUNK):
+            u = rng.random(min(WALK_CHUNK, n - lo))
+            slot = ptr[lo:lo + len(u), i]
+            for c in cum:
+                slot += u >= c
     return ptr
 
 

@@ -23,14 +23,17 @@ It stays accurate at the trusts near 0 and 1 where the dense LU loses a
 near trap's escape mass.
 
 A vectorized Monte Carlo walker provides an independent check on all of the
-exact machinery. It keeps every walk's drawn pointers as one table row per
-(walk, node), and each live walk as one int32 flat (walk, node) index into
-them plus its time; a step runs the live walks in chunks of WALK_CHUNK and
-moves the survivors to the front of the same arrays. With a table of at
-most 256 rows the walker holds n_nodes + 12 bytes per walk, and 8 more for
-its finish time; its draws are one uniform per live walk per step, whatever
-the chunk. n_walks x n_nodes above 2**31 - 1 raises ValidationError before
-any draw.
+exact machinery. It draws the pointers in chunks of WALK_CHUNK walks and
+keeps them as one table row per (walk, node), and each live walk as one
+int32 flat (walk, node) index into them plus its time; a step runs the
+live walks in chunks of WALK_CHUNK and moves the survivors to the front of
+the same arrays. The step's finish times go behind them in the same time
+array. With a table of at most 256 rows the walker holds n_nodes + 12
+bytes per walk in every phase up to the statistics, finish times included,
+plus 8 for each walk that finishes in the step being run; the statistics
+hold at most 16 bytes per walk. Its draws are one uniform per pointer and
+one per live walk per step, whatever the chunk. n_walks x n_nodes above
+2**31 - 1 raises ValidationError before any draw.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .errors import SingularSystem, ValidationError, check_probability
 from .network import Network, shortest_paths
 from .pointers import (
     ENUMERATION_CAP,
+    WALK_CHUNK,
     StepTable,
     WeightedDirectionSpace,
     compile_network,
@@ -64,12 +68,6 @@ BLOCK = 1024  # directions per stacked solve in expected_profile
 # 0.032-0.036 s at 2**14, at a peak RSS of 34.3, 34.0 and 34.9 MB; 2**16
 # was slower still and took 8 MB more
 STATE_BUDGET = 2**13
-# live walks per chunk of one walker step, so that the step's temporaries
-# have this length whatever the number of walks. On a 2-core x86 box, 10**6
-# walks on a cactus of 6 triangles took a median of 1.02, 0.99, 0.97 and
-# 1.08 s at 2**12, 2**13, 2**14 and 2**16 (8 runs each), at a peak RSS of
-# 70.6, 70.6, 70.5 and 73.1 MB
-WALK_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -498,9 +496,18 @@ def simulate(
     distribution until home or until the accumulated time reaches
     `max_time` (default 1e4 x distance(start); it must be finite and
     positive). Censored walks are excluded from the mean and counted,
-    never silently truncated. `seed` must be non-negative, and `n_walks`
-    times the number of nodes at most 2**31 - 1, so that every walk's
-    place fits one int32 index.
+    never silently truncated; fewer than two finished walks give a
+    std_error of NaN. `seed` must be non-negative, and `n_walks` times the
+    number of nodes at most 2**31 - 1, so that every walk's place fits one
+    int32 index.
+
+    Pointers and steps are drawn in chunks of WALK_CHUNK walks, the stream
+    of one draw over all of them. The live walks' times sit at the front of
+    one array of n_walks times and the finish times at its back, so the
+    walker holds n_nodes + 12 bytes per walk in every phase up to the
+    statistics, finish times included, plus 8 for each walk that finishes
+    in the step being run. The statistics copy the finish times back into
+    finish order beside the time array: at most 16 bytes per walk.
     """
     if n_walks < 1:
         raise ValidationError("n_walks must be >= 1")
@@ -537,19 +544,21 @@ def simulate(
     longest = float(row_len.max())
     thresholds = steps.cum.T[:-1]
 
-    # finish times in finish order; a start at home finishes every walk at 0
-    finished = np.zeros(n_walks)
+    # times[:live]: the live walks' times; times[n_walks - done:]: the
+    # finish times in reverse finish order, with a gap for the censored
+    # walks between them. A start at home finishes every walk at 0
+    times = np.zeros(n_walks)
     live = 0 if form.index[start] == form.home else n_walks
     done = n_walks - live
     # at[j]: live walk j's flat (walk, node) index into rows
     at = np.arange(form.index[start], live * n_nodes, n_nodes, dtype=np.int32)
-    times = np.zeros(live)
     censored = 0
     reach = 0.0  # no walk's time is above it: one longest arc per step
     while live:
         reach += longest
         censor = reach >= max_time
         kept = 0
+        ended = []  # the step's finish times, chunk by chunk
         # chunks draw consecutive uniforms, the stream of one draw per step;
         # survivors move to the front, never past the chunk being read
         for lo in range(0, live, WALK_CHUNK):
@@ -563,9 +572,8 @@ def simulate(
                 k += u > threshold[row]
             t = times[lo:hi] + row_len[k]
             home = home_at[k]
-            n_home = np.count_nonzero(home)
-            finished[done:done + n_home] = t[home]
-            done += n_home
+            if np.count_nonzero(home):
+                ended.append(t[home])
             keep = ~home
             if censor:
                 over = keep & (t >= max_time)
@@ -577,14 +585,18 @@ def simulate(
             at[kept:kept + n_keep] = moved[keep]
             kept += n_keep
         live = kept
-    del rows, at, times  # the statistics need only the finish times
+        # all read now: behind the survivors, before the earlier finishers
+        for piece in ended:
+            times[n_walks - done - len(piece):n_walks - done] = piece[::-1]
+            done += len(piece)
+    del rows, at  # the statistics need only the finish times
 
-    finished = finished[:done]
+    # back into finish order, so that mean and std sum in that order
+    finished = times[n_walks - done:][::-1].copy()
+    del times
     if done == 0:
         return SimulationResult(math.nan, math.nan, censored, n_walks, seed)
     mean = float(finished.mean())
-    if done > 1:
-        se = float(finished.std(ddof=1) / math.sqrt(done))
-    else:
-        se = 0.0
+    # one finish time shows no spread
+    se = float(finished.std(ddof=1) / math.sqrt(done)) if done > 1 else math.nan
     return SimulationResult(mean, se, censored, n_walks, seed)

@@ -191,6 +191,14 @@ def test_solve_simulate_columns(capsys):
     assert data[0][7] == "0"
 
 
+def test_solve_one_finished_walk_has_no_standard_error(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--fixture", "line5", "--p", "1",
+                           "--q", "0.5", "--start", "0", "--simulate", "1")
+    assert code == 0
+    assert parse_csv(out)[1] == [["0", "5", "1", "q=0.5", "25", "5", "nan",
+                                  "0"]]
+
+
 def test_solve_blocked_policy_reports_inf_and_censoring(capsys):
     code, out, _ = run_cli(capsys, "solve", "--fixture", "triangle",
                            "--p", "0.75", "--q", "1", "--start", "A",

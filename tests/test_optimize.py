@@ -94,6 +94,22 @@ def test_trust_line_clamp_values_match_exact_rationals():
                                           rel=1e-14), (name, start, q)
 
 
+@pytest.mark.parametrize("name, p, q, start", [
+    ("line5", 1.0, 1e-6, "0"),
+    ("line5", 1.0, 1e-12, "0"),
+    ("line7", 0.5, 1e-6, "0"),
+    ("tree", 0.5, 1e-6, "B"),
+], ids=["line5-1e-6", "line5-1e-12", "line7-1e-6", "tree-1e-6"])
+def test_trust_line_near_edge_rows_match_exact_rationals(name, p, q, start):
+    # the exact path's LU reads 6.96e16, raises SingularSystem, reads
+    # 2.67e16 and reads 249997155579.58 on these rows; the elimination
+    # must hold the exact value
+    net = fx.fixture(name)
+    line = TrustLine(net, enumerate_direction_space(net, p=p), start, Uniform)
+    exact = rational_expected_profile(net, p, Uniform(q))[start]
+    assert line.values([q])[0] == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_trust_line_end_derivatives_ignore_nodes_that_cannot_reach_home():
     # at q2 = 1 node 2 steps home over length 2; its other arc (length 3)
     # leads to node 1, which with q3 = q4 = 0 never takes its pointer and

@@ -21,6 +21,7 @@ from satnav import (
     shortest_paths,
 )
 from satnav import fixtures as fx
+from satnav import pointers
 from satnav.pointers import pointer_table
 from conftest import small_networks
 
@@ -169,6 +170,21 @@ def test_sampling_matches_enumeration(spike):
     observed = np.array([counts[k] for k in keys])
     result = stats.chisquare(observed, expected)
     assert result.pvalue > 1e-3
+
+
+@pytest.mark.parametrize("name", ["spike", "tree", "c4"])
+def test_sampled_slots_do_not_depend_on_the_chunk(monkeypatch, name):
+    # a node's uniforms drawn a chunk at a time are one draw of all of them;
+    # test_sampled_slots_are_narrow_and_unchanged pins the default chunk
+    # over more draws than it holds
+    net = fx.fixture(name)
+    spd = shortest_paths(net)
+    want = sample_pointer_slots(net, spd, 0.65, 1000, np.random.default_rng(5))
+    for chunk in (1, 3):
+        monkeypatch.setattr(pointers, "WALK_CHUNK", chunk)
+        got = sample_pointer_slots(net, spd, 0.65, 1000,
+                                   np.random.default_rng(5))
+        assert (got == want).all(), chunk
 
 
 def test_sampled_slots_are_narrow_and_unchanged(spike):

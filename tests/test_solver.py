@@ -25,7 +25,7 @@ from satnav import (
     simulate,
 )
 from satnav import fixtures as fx
-from satnav import solver
+from satnav import pointers, solver
 from satnav.pointers import compile_network, step_table
 from satnav.solver import BLOCK, TimeProfile, profile_residual
 from conftest import CACTUS3, grid3x3, small_networks
@@ -305,7 +305,9 @@ def test_simulate_pinned_draws(net, p, policy, start, n, max_time, seed, want):
                          PINNED_DRAWS, ids=PINNED_IDS)
 def test_simulate_draws_do_not_depend_on_the_chunk(
         monkeypatch, chunk, net, p, policy, start, n, max_time, seed, want):
-    # test_simulate_pinned_draws runs the default WALK_CHUNK
+    # test_simulate_pinned_draws runs the default WALK_CHUNK; here the
+    # pointer draws and the steps both run in chunks of the patched size
+    monkeypatch.setattr(pointers, "WALK_CHUNK", chunk)
     monkeypatch.setattr(solver, "WALK_CHUNK", chunk)
     sim = simulate(net, p, policy, start, n, max_time=max_time, seed=seed)
     assert repr(sim) == want
@@ -328,7 +330,21 @@ def test_simulate_peak_memory_per_walk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (len(net.nodes) + 40) * n
+    assert peak <= (len(net.nodes) + 24) * n
+
+
+def test_simulate_one_finisher_shows_no_spread():
+    # p = 1 on a line: the walk takes 5; a standard error of 0 would claim
+    # that one finish time shows no spread
+    sim = simulate(fx.fixture("line5"), 1.0, Uniform(0.5), "0", 1)
+    assert sim.mean == 5.0
+    assert math.isnan(sim.std_error)
+    assert sim.censored == 0
+    # of three walks on the triangle two are trapped and censored
+    sim = simulate(fx.triangle(), 0.75, Uniform(1.0), "A", 3, max_time=20,
+                   seed=11)
+    assert (sim.mean, sim.censored) == (2.0, 2)
+    assert math.isnan(sim.std_error)
 
 
 def test_simulate_perfect_information(tree):
