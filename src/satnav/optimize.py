@@ -133,7 +133,7 @@ def optimize_uniform(
     full 101-point grid runs when that window's optimum is not interior.
     """
     space = enumerate_direction_space(net, p=p, cap=cap)
-    line = TrustLine(net, space, start, Uniform)
+    line = TrustLine(net, p, start, Uniform(0.0), Uniform(1.0))
     found = None
     if warm is not None:
         wlo, whi = max(EPS, warm - 0.06), min(1.0 - EPS, warm + 0.06)
@@ -174,16 +174,12 @@ def optimize_counting(
     trusts = {k: star_optimal_trust(k, p) for k in degrees}
     if warm is not None:
         trusts.update({k: warm[k] for k in degrees if k in warm})
-
-    def coordinate(k: int) -> TrustLine:
-        others = dict(trusts)
-        return TrustLine(net, space, start,
-                         lambda q: ByDegree({**others, k: q}))
-
     for _ in range(MAX_SWEEPS):
         largest_move = 0.0
         for k in degrees:
-            q, diag = _search(coordinate(k), 0.0, 1.0, 101)
+            line = TrustLine(net, p, start, ByDegree({**trusts, k: 0.0}),
+                             ByDegree({**trusts, k: 1.0}))
+            q, diag = _search(line, 0.0, 1.0, 101)
             largest_move = max(largest_move, abs(q - trusts[k]))
             trusts[k] = q
         if largest_move < COORDINATE_TOL:

@@ -114,7 +114,6 @@ def pointer_table(net: Network, spd: ShortestPathData, p: float) -> np.ndarray:
 
 def enumerate_direction_space(
     net: Network,
-    spd: ShortestPathData | None = None,
     p: float = 0.5,
     cap: int = ENUMERATION_CAP,
 ) -> WeightedDirectionSpace:
@@ -124,7 +123,7 @@ def enumerate_direction_space(
     the last node varying fastest. Raises CapExceeded when the product of
     branch degrees exceeds `cap`; callers should fall back to simulation.
     """
-    mu = pointer_table(net, shortest_paths(net) if spd is None else spd, p)
+    mu = pointer_table(net, shortest_paths(net), p)
     form = compile_network(net)
     degrees = form.branch_degree.tolist()
     size = math.prod(degrees)

@@ -14,13 +14,13 @@ pointer configurations are exact infinities rather than solver blow-ups.
 A solve that fails in LAPACK or returns a negative or NaN time raises
 SingularSystem instead of answering.
 
-The optimizer's trust search runs on a second engine, `TrustLine`, that
-solves no linear system: it eliminates the nodes one at a time by sums that
-never subtract (GTH elimination), shares the work of every pointer prefix
-across the directions that extend it, and carries every trust of a search,
-or the first and second derivatives at one trust, through the same pass.
-It stays accurate at the trusts near 0 and 1 where the dense LU loses a
-near trap's escape mass.
+The optimizer's trust search runs on a second engine, `TrustLine`, along a
+segment between two trust policies. It reads only the reliability and solves
+no linear system: it eliminates the nodes one at a time by sums that never
+subtract (GTH elimination), shares the work of every pointer prefix across
+the directions that extend it, and carries every trust of a search, or the
+first and second derivatives at one trust, through one pass. It stays
+accurate near trusts 0 and 1, where LU loses a near trap's escape mass.
 
 A vectorized Monte Carlo walker provides an independent check on all of the
 exact machinery. It draws the pointers in chunks of WALK_CHUNK walks and
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -129,17 +129,17 @@ class SimulationResult:
     seed: int
 
 
-def _solve(rows: np.ndarray, rhs: np.ndarray, times: bool = True) -> np.ndarray:
+def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """One stacked `np.linalg.solve` of rows @ x = rhs, for every stacked
-    hitting-time solve. SingularSystem when LAPACK fails, or when solved
-    `times` (not derivatives) hold a negative or NaN entry: near trust 0 or
-    1 the LU can lose the escape mass of a near trap."""
+    hitting-time solve. SingularSystem when LAPACK fails, or when a solved
+    time is negative or NaN: near trust 0 or 1 the LU can lose the escape
+    mass of a near trap."""
     try:
         solved = np.linalg.solve(rows, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"hitting-time system singular in a block of "
                              f"{len(rows)} directions: {exc}") from None
-    if times and not (solved >= 0.0).all():
+    if not (solved >= 0.0).all():
         raise SingularSystem(f"hitting-time system gave a negative or NaN "
                              f"time in a block of {len(rows)} directions")
     return solved
@@ -259,9 +259,11 @@ def expected_time_between(
 
 
 class TrustLine:
-    """Expected time from `start` over every direction of `space` along one
-    trust coordinate, `policy_at(q)`: every branch row under `Uniform`, the
-    rows of one degree under `ByDegree`. No linear system is solved.
+    """Expected time from `start`, averaged over the directions at reliability
+    `p`, along the segment from trust policy `low` at q = 0 to `high` at
+    q = 1: a row's trust t is its trust under `low` plus q times its change
+    to `high`; its pointer slot takes t, every other arc (1 - t)/(deg - 1).
+    It reads only the reliability of the directions and solves no system.
 
     The non-home nodes are eliminated one at a time: leaves first, then
     branch nodes by ascending degree, the start last. A state holds, for
@@ -285,9 +287,9 @@ class TrustLine:
     entries. `values` runs order 0 at all its trusts at once, `derivatives`
     order 2 at one trust; each (state, trust) is worked by the same
     operations in the same order whatever else is in its batch, so a value
-    does not depend on the other trusts asked for or on STATE_BUDGET.
-    Along the coordinate every entry is affine in q, +1 on the pointer slot
-    and -1/(deg-1) on each other slot of its rows. States are worked in
+    does not depend on STATE_BUDGET, nor on the other trusts of its call
+    while none gives a step a chance of 0 (trust 0 or 1 on a coordinate
+    line), which splits nodes for the whole call. States are worked in
     pieces of at most STATE_BUDGET final values, which keeps peak memory
     nearly flat in the number of directions.
 
@@ -299,19 +301,18 @@ class TrustLine:
     or 1. A start that cannot reach home gives +inf.
     """
 
-    def __init__(self, net: Network, space: WeightedDirectionSpace, start: str,
-                 policy_at: Callable[[float], TrustPolicy]):
+    def __init__(self, net: Network, p: float, start: str,
+                 low: TrustPolicy, high: TrustPolicy):
         if start not in net.nodes:
             raise ValidationError(f"unknown start node {start!r}")
-        self.net, self.space, self.start = net, space, start
-        self.policy_at = policy_at
+        self.net, self.start = net, start
         form = compile_network(net)
         origin = form.index[start]
         branch = set(form.branch)
         order = [] if origin == form.home else sorted(
             (i for i in form.nonhome if i != origin),
             key=lambda i: form.degree[i] if i in branch else 0) + [origin]
-        mu = pointer_table(net, shortest_paths(net), space.reliability)
+        mu = pointer_table(net, shortest_paths(net), p)
         # a pointer slot of chance 0 never occurs, so it gets no row
         slots = [np.flatnonzero(mu[i, :form.degree[i]]) if i in branch
                  else np.zeros(1, dtype=int) for i in order]
@@ -325,13 +326,16 @@ class TrustLine:
         self.row_node = np.repeat(np.arange(len(order)), self.sizes)
         col = np.full(len(form.nodes), len(order))  # home: the exit column
         col[order] = np.arange(len(order))
-        self.dcol = col[form.dest[form.row_node[rows]]]
-        self.alen = form.alen[form.row_node[rows]]
-        self.low = StepTable(form, policy_at(0.0)).probs[rows]
-        self.slope = StepTable(form, policy_at(1.0)).probs[rows] - self.low
-        degree = np.array(form.degree)[form.row_node[rows], None]
+        node, at = form.row_node[rows], np.arange(form.dest.shape[1])
+        self.dcol, self.alen = col[form.dest[node]], form.alen[node]
+        degree = np.array(form.degree)[node, None]
         self.spread = np.maximum(degree - 1, 1)
-        self.arc = np.arange(form.dest.shape[1]) < degree  # slots in use
+        self.arc = at < degree  # slots in use
+        # a leaf's pointer is its one arc, taken with trust 1 at either end
+        self.pointer = at == (rows - form.row_start[node])[:, None]
+        low, high = (StepTable(form, policy).probs[rows] for policy in (low, high))
+        self.slope = high - low
+        self.trust, self.change = low[self.pointer], self.slope[self.pointer]
 
     def _table(self, probs: np.ndarray) -> np.ndarray:
         """Rows of entries toward each node in elimination order, the exit
@@ -362,9 +366,9 @@ class TrustLine:
         the start at each of `trusts`, shape (order + 1, len(trusts))."""
         if not self.sizes:  # the start is home
             return np.zeros((order + 1, len(trusts)))
-        q = np.asarray(trusts, dtype=float)[:, None, None]
-        probs = np.where(self.slope > 0.0, q, np.where(
-            self.slope < 0.0, (1.0 - q) / self.spread, self.low))
+        q = np.asarray(trusts, dtype=float)[:, None]
+        t = (self.trust + q * self.change)[..., None]  # [trust, row, 1]
+        probs = np.where(self.pointer, t, self.arc * ((1.0 - t) / self.spread))
         zero = ((probs == 0.0) & self.arc).any(axis=(0, 2))
         sharp = [i for i in range(len(self.sizes))
                  if zero[self.first[i]:self.first[i + 1]].any()]
@@ -495,11 +499,11 @@ def simulate(
     Each walk draws one direction vector, then walks by the step
     distribution until home or until the accumulated time reaches
     `max_time` (default 1e4 x distance(start); it must be finite and
-    positive). Censored walks are excluded from the mean and counted,
-    never silently truncated; fewer than two finished walks give a
-    std_error of NaN. `seed` must be non-negative, and `n_walks` times the
-    number of nodes at most 2**31 - 1, so that every walk's place fits one
-    int32 index.
+    positive), even on a step that arrives home. Censored walks are
+    excluded from the mean and counted, never silently truncated; fewer
+    than two finished walks give a std_error of NaN. `seed` must be
+    non-negative, and `n_walks` times the number of nodes at most
+    2**31 - 1, so that every walk's place fits one int32 index.
 
     Pointers and steps are drawn in chunks of WALK_CHUNK walks, the stream
     of one draw over all of them. The live walks' times sit at the front of
@@ -572,13 +576,14 @@ def simulate(
                 k += u > threshold[row]
             t = times[lo:hi] + row_len[k]
             home = home_at[k]
+            keep = ~home
+            if censor:  # a walk at or past the horizon is censored, home or not
+                over = t >= max_time
+                censored += int(np.count_nonzero(over))
+                home &= ~over
+                keep &= ~over
             if np.count_nonzero(home):
                 ended.append(t[home])
-            keep = ~home
-            if censor:
-                over = keep & (t >= max_time)
-                censored += int(np.count_nonzero(over))
-                keep &= ~over
             moved = at[lo:hi] + delta[k]
             n_keep = np.count_nonzero(keep)
             times[kept:kept + n_keep] = t[keep]

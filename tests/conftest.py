@@ -1,6 +1,7 @@
 """Shared test networks, generators and the exact-rational oracle."""
 
 import itertools
+import random
 import warnings
 from fractions import Fraction
 
@@ -78,6 +79,16 @@ def grid3x3():
 CACTUS3 = [("t1a", "a0", "x1", 1), ("t1b", "x1", "a1", 2), ("t1c", "a0", "a1", 3),
            ("t2a", "a1", "x2", 2), ("t2b", "x2", "a2", 1), ("t2c", "a1", "a2", 1),
            ("t3a", "a2", "x3", 3), ("t3b", "x3", "a3", 1), ("t3c", "a2", "a3", 2)]
+
+
+def cactus_arcs(triangles, seed):
+    """A chain of triangles a{k-1}-x{k}-a{k}, home a0, each arc length drawn
+    from 1..3 by random.Random(seed): 2**(3 * triangles - 1) directions."""
+    rng = random.Random(seed)
+    return [(f"t{k}{side}", u, v, rng.randint(1, 3))
+            for k in range(1, triangles + 1)
+            for side, u, v in (("a", f"a{k - 1}", f"x{k}"), ("b", f"x{k}", f"a{k}"),
+                               ("c", f"a{k - 1}", f"a{k}"))]
 
 
 def quiet_network(home, arcs):

@@ -199,6 +199,16 @@ def test_solve_one_finished_walk_has_no_standard_error(capsys):
                                   "0"]]
 
 
+def test_solve_walk_home_past_the_horizon_is_censored(capsys):
+    # the one walk arrives home at time 2, past --max-time 1.5
+    code, out, _ = run_cli(capsys, "solve", "--fixture", "triangle", "--p",
+                           "0.75", "--q", "1", "--start", "A", "--simulate",
+                           "1", "--max-time", "1.5")
+    assert code == 0
+    assert parse_csv(out)[1] == [["A", "C", "0.75", "q=1", "inf", "nan", "nan",
+                                  "1"]]
+
+
 def test_solve_blocked_policy_reports_inf_and_censoring(capsys):
     code, out, _ = run_cli(capsys, "solve", "--fixture", "triangle",
                            "--p", "0.75", "--q", "1", "--start", "A",

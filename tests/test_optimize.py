@@ -1,6 +1,7 @@
 """Trust optimization: scalar, coordinate descent, and reliability curves."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from satnav import (
     line_increment,
     optimize_counting,
     optimize_uniform,
+    simulate,
     star_optimal_trust,
     tree_solve_counting,
     trust_curve,
 )
 from conftest import (
     CACTUS3,
+    cactus_arcs,
     grid3x3,
     rational_expected_profile,
     small_networks,
@@ -37,25 +40,25 @@ from satnav.solver import TrustLine
 
 
 def trust_lines(p):
-    """(name, start, line) for every fixture and a star with a degree-4
+    """(name, start, line, at) for every fixture and a star with a degree-4
     center (three arcs share 1 - q), from every non-home start, under
-    Uniform and under the top branch degree's ByDegree coordinate."""
+    Uniform and under the top branch degree's ByDegree coordinate; at(q) is
+    the line's policy at q."""
     networks = {name: fx.fixture(name) for name in sorted(fx.FIXTURES)}
     networks["star4"] = star_network(4, 1.0, [1.0, 2.0, 1.5])
     for name, net in networks.items():
-        space = enumerate_direction_space(net, p=p)
         degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
         coordinate = lambda q, k=degrees[-1], others=dict.fromkeys(degrees, 0.7): (
             ByDegree({**others, k: q}))
         for start in net.nodes:
             if start != net.home:
-                for policy_at in (Uniform, coordinate):
-                    yield name, start, TrustLine(net, space, start, policy_at)
+                for at in (Uniform, coordinate):
+                    yield name, start, TrustLine(net, p, start, at(0.0), at(1.0)), at
 
 
 def test_trust_line_derivatives_match_central_differences():
     h = 1e-5
-    for name, start, line in trust_lines(0.75):
+    for name, start, line, _ in trust_lines(0.75):
         for q in (0.3, 0.6):
             value, slope, curvature = line.derivatives(q)
             below, at, above = line.values([q - h, q, q + h])
@@ -68,7 +71,8 @@ def test_trust_line_derivatives_match_central_differences():
 
 def test_trust_line_values_match_expected_time():
     grid = [q for q in _grid(EPS, 1 - EPS, 101) if 0.05 <= q <= 0.95]
-    for name, start, line in trust_lines(0.75):
+    for name, start, line, at in trust_lines(0.75):
+        space = enumerate_direction_space(line.net, p=0.75)
         for q, value in zip(grid, line.values(grid)):
             if name.startswith("line"):
                 # the exact path's LU is off by up to 1.6e-9 on line7 near
@@ -77,19 +81,17 @@ def test_trust_line_values_match_expected_time():
                 exact = sum(line_increment([1.0] * size, m, 0.75, q)
                             for m in range(int(start), size - 1))
             else:
-                exact = expected_time(line.net, 0.75, line.policy_at(q), start,
-                                      space=line.space)
+                exact = expected_time(line.net, 0.75, at(q), start, space=space)
             assert value == pytest.approx(exact, rel=1e-13), (name, start, q)
 
 
 def test_trust_line_clamp_values_match_exact_rationals():
     profiles = {}  # one oracle profile serves every start
-    for name, start, line in trust_lines(0.75):
+    for name, start, line, at in trust_lines(0.75):
         for q, value in zip((EPS, 1 - EPS), line.values([EPS, 1 - EPS])):
-            key = name, line.policy_at is Uniform, q
+            key = name, at is Uniform, q
             if key not in profiles:
-                profiles[key] = rational_expected_profile(
-                    line.net, 0.75, line.policy_at(q))
+                profiles[key] = rational_expected_profile(line.net, 0.75, at(q))
             assert value == pytest.approx(float(profiles[key].get(start, 0)),
                                           rel=1e-14), (name, start, q)
 
@@ -105,9 +107,79 @@ def test_trust_line_near_edge_rows_match_exact_rationals(name, p, q, start):
     # 2.67e16 and reads 249997155579.58 on these rows; the elimination
     # must hold the exact value
     net = fx.fixture(name)
-    line = TrustLine(net, enumerate_direction_space(net, p=p), start, Uniform)
+    line = TrustLine(net, p, start, Uniform(0.0), Uniform(1.0))
     exact = rational_expected_profile(net, p, Uniform(q))[start]
     assert line.values([q])[0] == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1e-6, 1 - 1e-6], ids=["near-0", "near-1"])
+@pytest.mark.parametrize("at", [Uniform, lambda q: ByDegree({2: q, 4: 0.5})],
+                         ids=["uniform", "degree2"])
+def test_trust_line_cactus3_near_edges_match_exact_rationals(at, q):
+    net = build_network("a0", CACTUS3)
+    exact = rational_expected_profile(net, 0.75, at(q))
+    for start in ("a3", "x2"):
+        line = TrustLine(net, 0.75, start, at(0.0), at(1.0))
+        assert line.values([q])[0] == pytest.approx(float(exact[start]),
+                                                    rel=1e-12), start
+
+
+def on_segment(low, high, q):
+    """The policy at q on the segment from `low` to `high`."""
+    if isinstance(low, Uniform):
+        return Uniform(low.q + q * (high.q - low.q))
+    return ByDegree({k: t + q * (high.q_by_degree[k] - t)
+                     for k, t in low.q_by_degree.items()})
+
+
+@pytest.mark.parametrize("net, low, high", [
+    (fx.tree(), Uniform(0.2), Uniform(0.6)),
+    (fx.cycle(4), Uniform(0.2), Uniform(0.6)),
+    (fx.spike(), ByDegree({2: 0.9, 3: 0.2}), ByDegree({2: 0.4, 3: 0.7})),
+    (build_network("a0", CACTUS3), ByDegree({2: 0.3, 4: 0.8}),
+     ByDegree({2: 0.7, 4: 0.2})),
+], ids=["tree-uniform", "c4-uniform", "spike-two-degrees", "cactus3-two-degrees"])
+def test_trust_line_off_the_coordinates(net, low, high):
+    # every trust moves at once, so no trust is the line's q itself
+    grid, h = [0.1, 0.25, 0.5, 0.75, 0.9], 1e-5
+    space = enumerate_direction_space(net, p=0.75)
+    for start in net.nodes:
+        if start == net.home:
+            continue
+        line = TrustLine(net, 0.75, start, low, high)
+        for q, value in zip(grid, line.values(grid)):
+            exact = expected_time(net, 0.75, on_segment(low, high, q), start,
+                                  space=space)
+            assert value == pytest.approx(exact, rel=1e-12), (start, q)
+        for q in (0.3, 0.6):
+            value, slope, curvature = line.derivatives(q)
+            below, at, above = line.values([q - h, q, q + h])
+            assert value == pytest.approx(at, rel=1e-13), (start, q)
+            assert slope == pytest.approx(
+                (above - below) / (2 * h), rel=1e-6), (start, q)
+            assert curvature == pytest.approx(
+                (above - 2 * at + below) / h**2, rel=1e-3), (start, q)
+
+
+def test_trust_line_reads_its_segment_not_a_coordinate(tree):
+    # halfway from trust 0 to trust 1/2 is trust 1/4 everywhere: 164/9
+    line = TrustLine(tree, 0.75, "A", Uniform(0.0), Uniform(0.5))
+    exact = rational_expected_profile(tree, 0.75, Uniform(0.25))["A"]
+    assert exact == Fraction(164, 9)
+    assert line.values([0.5])[0] == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_trust_line_runs_past_the_enumeration_cap():
+    # 7 triangles have 2**20 directions, over the cap: expected_time refuses
+    # them, but the line needs only the reliability. The walker checks it
+    net = build_network("a0", cactus_arcs(7, seed=0))
+    policy = ByDegree({2: 0.7, 4: 0.5})
+    with pytest.raises(CapExceeded):
+        expected_time(net, 0.75, policy, "a7")
+    value = TrustLine(net, 0.75, "a7", policy, policy).values([0.0])[0]
+    sim = simulate(net, 0.75, policy, "a7", 200_000, seed=1)
+    assert sim.censored == 0
+    assert abs(value - sim.mean) <= 5 * sim.std_error
 
 
 def test_trust_line_end_derivatives_ignore_nodes_that_cannot_reach_home():
@@ -121,9 +193,8 @@ def test_trust_line_end_derivatives_ignore_nodes_that_cannot_reach_home():
                               ("t3", "3", "1", 1), ("t4", "4", "2", 2),
                               ("t5", "5", "3", 1.5), ("t6", "6", "3", 3),
                               ("x0", "3", "0", 1)])
-    space = enumerate_direction_space(net, p=1.0)
-    line = TrustLine(net, space, "2",
-                     lambda q: ByDegree({2: q, 3: 0.0, 4: 0.0}))
+    line = TrustLine(net, 1.0, "2", ByDegree({2: 0.0, 3: 0.0, 4: 0.0}),
+                     ByDegree({2: 1.0, 3: 0.0, 4: 0.0}))
     assert line.derivatives(1.0) == pytest.approx((2.0, -1.0, 0.0), abs=1e-12)
     assert list(line.values([1.0, 0.99])) == [2.0, math.inf]
 
@@ -138,12 +209,12 @@ def test_trust_line_matches_expected_time_on_random_networks(net, p, q, other):
     assume(degrees)
     space = enumerate_direction_space(net, p=p)
 
-    def policy_at(t):
+    def at(t):
         return ByDegree({**dict.fromkeys(degrees, other), degrees[-1]: t})
 
     for start in net.nodes:
-        line = TrustLine(net, space, start, policy_at)
-        exact = expected_time(net, p, policy_at(q), start, space=space)
+        line = TrustLine(net, p, start, at(0.0), at(1.0))
+        exact = expected_time(net, p, at(q), start, space=space)
         assert line.values([q])[0] == pytest.approx(exact, rel=1e-12)
         assert line.derivatives(q)[0] == pytest.approx(exact, rel=1e-12)
 
@@ -158,7 +229,7 @@ def test_trust_line_makes_no_lapack_call(monkeypatch, tree):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     space = enumerate_direction_space(tree, p=0.75)
-    line = TrustLine(tree, space, "A", Uniform)
+    line = TrustLine(tree, 0.75, "A", Uniform(0.0), Uniform(1.0))
     line.values(_grid(EPS, 1 - EPS, 101))
     for q in (0.0, 0.3, 1.0):
         line.derivatives(q)
@@ -167,14 +238,14 @@ def test_trust_line_makes_no_lapack_call(monkeypatch, tree):
     assert calls  # the wrapper does see the exact path's solves
 
 
-@pytest.mark.parametrize("net, start, policy_at", [
-    (grid3x3(), "r2c2", Uniform),
-    (build_network("a0", CACTUS3), "a3", lambda q: ByDegree({2: q, 4: 0.5})),
+@pytest.mark.parametrize("net, start, low, high", [
+    (grid3x3(), "r2c2", Uniform(0.0), Uniform(1.0)),
+    (build_network("a0", CACTUS3), "a3", ByDegree({2: 0.0, 4: 0.5}),
+     ByDegree({2: 1.0, 4: 0.5})),
 ], ids=["grid3x3-uniform", "cactus3-degree2"])
 def test_trust_line_results_do_not_depend_on_the_state_budget(
-        monkeypatch, net, start, policy_at):
-    line = TrustLine(net, enumerate_direction_space(net, p=0.75), start,
-                     policy_at)
+        monkeypatch, net, start, low, high):
+    line = TrustLine(net, 0.75, start, low, high)
 
     def results():
         return (line.values(_grid(EPS, 1 - EPS, 101)).tolist(),
@@ -187,8 +258,11 @@ def test_trust_line_results_do_not_depend_on_the_state_budget(
 
 
 def test_trust_line_trusts_do_not_interact():
+    # calls of interior trusts only, as the searches make them: a trust of
+    # 0 or 1 on a coordinate line splits nodes for its whole call, which
+    # can move the other values' last bits, so _search scores those apart
     grid = _grid(EPS, 1 - EPS, 101)
-    for name, start, line in trust_lines(0.75):
+    for name, start, line, _ in trust_lines(0.75):
         alone = [line.values([q])[0] for q in grid]
         assert alone == line.values(grid).tolist(), (name, start)
 

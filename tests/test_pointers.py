@@ -115,7 +115,7 @@ def test_weights_sum_to_one_generated(net, p):
 def test_all_correct_weight_is_product(tree):
     p = 0.6
     spd = shortest_paths(tree)
-    space = enumerate_direction_space(tree, spd, p)
+    space = enumerate_direction_space(tree, p=p)
     correct = {v: next(iter(arcs)) for v, arcs in spd.correct_arcs.items()}
     weight = [w for pointer, w in zip(space_pointers(tree, space),
                                       space.weights.tolist())
@@ -158,7 +158,7 @@ def test_sampling_matches_enumeration(spike):
     p = 0.65
     n = 100_000
     spd = shortest_paths(spike)
-    space = enumerate_direction_space(spike, spd, p)
+    space = enumerate_direction_space(spike, p=p)
     keys = [tuple(sorted(pointer.items()))
             for pointer in space_pointers(spike, space)]
     expected = space.weights * n
