@@ -81,6 +81,7 @@ class Network:
         self._arc_by_id: dict[str, Arc] = {a.arc_id: a for a in arcs}
         # arrays built on first use by satnav.pointers.compile_network
         self._compiled = None
+        self._blocks = None  # filled on first use by blocks()
 
         # connectivity
         reached = {home}
@@ -198,54 +199,60 @@ def shortest_paths(net: Network) -> ShortestPathData:
     return ShortestPathData(dist, correct)
 
 
-def find_bridges_and_cuts(net: Network) -> tuple[frozenset[str], frozenset[str]]:
-    """Bridge arcs and cut (articulation) nodes.
+def blocks(net: Network) -> tuple[tuple[Arc, ...], ...]:
+    """The blocks (2-connected components) of `net`, each as its arcs; found
+    by one depth-first search on first use and kept on the network.
 
-    Parallel arcs are never bridges: the DFS skips only the specific arc it
-    entered on, so a twin arc shows up as a back edge.
+    Parallel arcs share a block: the search skips only the specific arc it
+    entered on, so a twin arc shows up as a back arc (Hopcroft and Tarjan,
+    Communications of the ACM 16(6), 1973).
     """
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    bridges: set[str] = set()
-    cuts: set[str] = set()
-    counter = 0
-
-    for root in net.nodes:
-        if root in disc:
-            continue
-        root_children = 0
-        # stack entries: (node, entering arc id, iterator over incident arcs)
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, None, iter(net.incident(root)))]
-        while stack:
-            v, in_arc, it = stack[-1]
-            advanced = False
-            for a in it:
-                if a.arc_id == in_arc:
-                    continue
-                w = a.other(v)
-                if w not in disc:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, a.arc_id, iter(net.incident(w))))
-                    advanced = True
-                    break
+    if net._blocks is not None:
+        return net._blocks
+    root = net.nodes[0]  # a network is connected
+    disc = {root: 0}
+    low = {root: 0}
+    found: list[tuple[Arc, ...]] = []
+    arcs: list[Arc] = []  # arcs met and not yet in a block, in DFS order
+    # stack entries: (node, entering arc, its place in arcs, incident arcs)
+    stack = [(root, None, 0, iter(net.incident(root)))]
+    while stack:
+        v, in_arc, mark, it = stack[-1]
+        for a in it:
+            if a is in_arc:
+                continue
+            w = a.other(v)
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, a, len(arcs), iter(net.incident(w))))
+                arcs.append(a)
+                break
+            if disc[w] < disc[v]:  # a back arc, met first from its lower end
+                arcs.append(a)
                 low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent, parent_arc, _ = stack[-1]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.add(in_arc)
-                    if parent != root and low[v] >= disc[parent]:
-                        cuts.add(parent)
-        if root_children >= 2:
-            cuts.add(root)
-    return frozenset(bridges), frozenset(cuts)
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:  # parent cuts v's subtree off
+                    found.append(tuple(arcs[mark:]))
+                    del arcs[mark:]
+    net._blocks = tuple(found)
+    return net._blocks
+
+
+def find_bridges_and_cuts(net: Network) -> tuple[frozenset[str], frozenset[str]]:
+    """Bridge arcs, the blocks of one arc, and cut (articulation) nodes, the
+    nodes of more than one block. Parallel arcs are never bridges."""
+    seen: set[str] = set()
+    cuts: set[str] = set()
+    for block in blocks(net):
+        nodes = {a.u for a in block} | {a.v for a in block}
+        cuts |= seen & nodes
+        seen |= nodes
+    return (frozenset(b[0].arc_id for b in blocks(net) if len(b) == 1),
+            frozenset(cuts))
 
 
 # ---------------------------------------------------------------------------

@@ -239,15 +239,31 @@ def assemble(form: CompiledNetwork, probs: np.ndarray
     """Rows of I - P over the non-home nodes and the expected one-step
     lengths, for step chances `probs` per table row (slots add in order, as
     arcs would); then I with lengths 0, the rows of the nodes of infinite
-    time."""
+    time.
+
+    A step to a leaf (a non-home node of degree 1) comes straight back, so
+    it is folded into its row: its chance P adds 2 x length x P to the step
+    length instead of entering the leaf's column, and the row's diagonal is
+    the sum of its other slots' chances rather than 1 - P, the pivot of GTH
+    elimination, which never subtracts. Rows without a leaf slot keep the
+    diagonal 1.
+    """
     every = np.arange(len(probs))
     rows = np.zeros((len(every), len(form.nonhome) + 1))
-    rows[every, form.col[form.row_node]] = 1.0
     rhs = np.zeros(len(every))
-    alen, dcol = form.alen[form.row_node], form.col[form.dest[form.row_node]]
+    node, degree = form.row_node, np.array(form.degree)
+    dest = form.dest[node]
+    alen, dcol, diag = form.alen[node], form.col[dest], form.col[node]
+    used = np.arange(probs.shape[1]) < degree[node, None]
+    leaf = used & (degree[dest] == 1) & (dest != form.home)
+    folded = leaf.any(axis=1)
+    rows[every, diag] = np.where(folded, 0.0, 1.0)
     for s in range(probs.shape[1]):
-        rhs += probs[:, s] * alen[:, s]
-        rows[every, dcol[:, s]] -= probs[:, s]
+        fold = leaf[:, s]
+        rhs += np.where(fold, 2.0, 1.0) * probs[:, s] * alen[:, s]
+        step = np.where(fold, 0.0, probs[:, s])
+        rows[every, dcol[:, s]] -= step
+        rows[every, diag] += np.where(folded, step, 0.0)
     return (np.vstack([rows[:, :-1], np.eye(len(form.nonhome))]),
             np.concatenate([rhs, np.zeros(len(form.nonhome))]))
 

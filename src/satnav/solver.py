@@ -7,6 +7,14 @@ Expected hitting times solve a dense linear system per direction vector,
 gathered from the step table's rows of I - P, one stacked solve per block
 of directions, and are then averaged with the direction-space weights.
 
+A network with a cut node other than home is solved one block of its
+block-cut tree at a time, leaf-up from home: each part that hangs off a cut
+node enters its parent block's system only as leaf stubs whose length is
+half the part's mean excursion time, and a step to a leaf is folded into its
+neighbour's row without a subtraction. So the directions of different blocks
+are never multiplied together, and the enumeration cap bounds each block's
+core alone. A network whose only cut node, if any, is home is solved whole.
+
 Nodes from which the induced chain cannot reach home -- or that can wander
 into a region that cannot -- have infinite expected time. They are found by
 reachability analysis before solving and get identity rows, so cycling
@@ -46,7 +54,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import SingularSystem, ValidationError, check_probability
-from .network import Network, shortest_paths
+from .network import Arc, Network, blocks, shortest_paths
 from .pointers import (
     ENUMERATION_CAP,
     WALK_CHUNK,
@@ -206,13 +214,27 @@ def expected_profile(
     finite whenever every pointer configuration that actually occurs leads
     home. A node is +inf as soon as one positive-weight direction strands it.
     A given `space` must be the one enumerated for `net` at reliability `p`.
+
+    Without `space`, a network with a cut node other than home is solved
+    one block at a time (see `_profile_by_blocks`), and `cap` bounds the
+    directions of each block's core; every other network is solved whole.
     """
     step_table(net, policy)
     if space is None:
+        profile = _profile_by_blocks(net, p, policy, cap)
+        if profile is not None:
+            return profile
         space = enumerate_direction_space(net, p=p, cap=cap)
     elif space.form is not compile_network(net) or space.reliability != p:
         raise ValidationError("space= was enumerated for another network or "
                               "reliability")
+    return _weighted_profile(net, space, policy)
+
+
+def _weighted_profile(net: Network, space: WeightedDirectionSpace,
+                      policy: TrustPolicy) -> dict[str, float]:
+    """The weighted sum of the hitting times of every direction of `space`,
+    BLOCK directions to a stacked solve."""
     kept = np.flatnonzero(space.weights)
     total = np.zeros(len(net.nodes))
     for ids in np.split(kept, range(BLOCK, len(kept), BLOCK)):
@@ -220,6 +242,75 @@ def expected_profile(
         # rows add to the total one after another, in direction order
         total = np.vstack([total, space.weights[ids, None] * times]).sum(axis=0)
     return dict(zip(net.nodes, total.tolist()))
+
+
+def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
+                       cap: int) -> dict[str, float] | None:
+    """`expected_profile` solved one block of the block-cut tree at a time,
+    leaf-up from home; None when no node but home is a cut node, when an
+    excursion into a part hanging off a cut node has infinite mean time, or
+    when a block's core would give a node another pointer law.
+
+    A block's attachment is home, or the cut node through which its nodes
+    reach home. Its core is the block's arcs, homed at the attachment, plus
+    one leaf stub per arc j from a block node v into a part hanging off v,
+    of length R_j / 2, where R_j = length_j + T(w_j -> v) is the mean time
+    of an excursion through j and back, read off the core of w_j's block,
+    solved before. Every path home leaves the block through its attachment,
+    so pointer correctness toward it is correctness toward home; a stub is
+    never correct and keeps v's degree, so v's pointer law and trust are
+    unchanged. Given the pointers, the time out of the block is A + sum_j
+    N_j R_j, where A and the visit counts N_j depend only on the block's
+    pointers and R_j only on the hanging part's, which are drawn
+    independently, so averaging R_j first is exact. A node's time to home is
+    its core time plus its attachment's time to home.
+    """
+    parts = blocks(net)
+    nodes = [list(dict.fromkeys(v for a in arcs for v in (a.u, a.v)))
+             for arcs in parts]
+    block_of = {}  # node -> the blocks it lies on
+    for k, members in enumerate(nodes):
+        for v in members:
+            block_of.setdefault(v, []).append(k)
+    if all(len(block_of[v]) == 1 for v in net.nodes if v != net.home):
+        return None
+    # (block, attachment) top-down from home: each block once, as the tree of
+    # blocks and cut nodes has no cycle
+    order = [(k, net.home) for k in block_of[net.home]]
+    for k, attach in order:
+        order += [(child, v) for v in nodes[k] if v != attach
+                  for child in block_of[v] if child != k]
+    arc_block = {a.arc_id: k for k, arcs in enumerate(parts) for a in arcs}
+    correct = shortest_paths(net).correct_arcs
+    # no stub may share a name with a node
+    stub = "\0"
+    while any(v.startswith(stub) for v in net.nodes):
+        stub += "\0"
+    core_time = {}  # node -> expected time to its block's attachment
+    for k, attach in reversed(order):
+        arcs = list(parts[k])
+        inner = [v for v in nodes[k] if v != attach]
+        for v in inner:
+            for a in net.incident(v):
+                if arc_block[a.arc_id] != k:
+                    excursion = a.length + core_time[a.other(v)]
+                    if excursion == math.inf:
+                        return None
+                    arcs.append(Arc(a.arc_id, v, stub + a.arc_id, excursion / 2))
+        core = Network(arcs, attach, _warn_cut_home=False)
+        # a distance tie that rounds apart between the core and the network
+        core_correct = shortest_paths(core).correct_arcs
+        if any(core_correct[v] != correct[v] for v in core_correct):
+            return None
+        space = enumerate_direction_space(core, p=p, cap=cap)
+        times = _weighted_profile(core, space, policy)
+        core_time.update((v, times[v]) for v in inner)
+    total = {net.home: 0.0}
+    for k, attach in order:
+        for v in nodes[k]:
+            if v != attach:
+                total[v] = core_time[v] + total[attach]
+    return {v: total[v] for v in net.nodes}
 
 
 def expected_time(
@@ -364,9 +455,11 @@ class TrustLine:
     def _expected(self, trusts, order: int) -> np.ndarray:
         """Taylor coefficients in q up to `order` of the expected time from
         the start at each of `trusts`, shape (order + 1, len(trusts))."""
+        q = np.asarray(trusts, dtype=float)[:, None]
+        if not ((q >= 0.0) & (q <= 1.0)).all():  # NaN fails both
+            raise ValidationError(f"trusts {trusts} leave the segment's [0, 1]")
         if not self.sizes:  # the start is home
             return np.zeros((order + 1, len(trusts)))
-        q = np.asarray(trusts, dtype=float)[:, None]
         t = (self.trust + q * self.change)[..., None]  # [trust, row, 1]
         probs = np.where(self.pointer, t, self.arc * ((1.0 - t) / self.spread))
         zero = ((probs == 0.0) & self.arc).any(axis=(0, 2))

@@ -8,8 +8,10 @@ import pytest
 
 from satnav import (
     Uniform,
+    build_network,
     expected_time,
     fixtures,
+    network_to_text,
     optimize_uniform,
     parse_network_text,
     simulate,
@@ -17,6 +19,8 @@ from satnav import (
     symmetric_equilibrium,
 )
 from satnav.cli import main
+from satnav.solver import TrustLine
+from conftest import cactus_arcs
 
 
 def run_cli(capsys, *args):
@@ -131,15 +135,124 @@ def test_malformed_network_file_exits_two(tmp_path, capsys, content,
     assert out == ""
 
 
-def test_negative_solved_times_exit_four(capsys):
-    # near trust 0 or 1 the exact path's dense LU loses the escape mass of a
-    # near trap and returns negative times; they must not be printed as an
-    # answer
-    code, out, err = run_cli(capsys, "solve", "--fixture", "line5", "--p", "1",
-                             "--q", "1e-12", "--start", "0")
+# perfbench's seed-0 grid 3x4 (93,312 directions), home at r0c0
+GRID3X4 = """home r0c0
+arc h0_0 r0c0 r0c1 2
+arc v0_0 r0c0 r1c0 2
+arc h0_1 r0c1 r0c2 1
+arc v0_1 r0c1 r1c1 2
+arc h0_2 r0c2 r0c3 3
+arc v0_2 r0c2 r1c2 2
+arc v0_3 r0c3 r1c3 2
+arc h1_0 r1c0 r1c1 2
+arc v1_0 r1c0 r2c0 2
+arc h1_1 r1c1 r1c2 2
+arc v1_1 r1c1 r2c1 3
+arc h1_2 r1c2 r1c3 1
+arc v1_2 r1c2 r2c2 3
+arc v1_3 r1c3 r2c3 1
+arc h2_0 r2c0 r2c1 2
+arc h2_1 r2c1 r2c2 1
+arc h2_2 r2c2 r2c3 1
+"""
+
+
+def test_singular_solve_exits_four(tmp_path, capsys):
+    # near trust 1 the 2-connected grid's dense LU loses the escape mass of
+    # a near trap; the failed solve must not be printed as an answer
+    path = tmp_path / "grid3x4.txt"
+    path.write_text(GRID3X4)
+    code, out, err = run_cli(capsys, "solve", "--net", str(path), "--p",
+                             "0.75", "--q", str(1 - 1e-4), "--start", "r2c3")
     assert code == 4
     assert out == ""
-    assert "gave a negative or NaN time in a block of" in err
+    assert "internal error: hitting-time system singular" in err
+
+
+def test_line_near_trust_zero_is_exact(capsys):
+    # at trust 1e-12 every step of line5 but one goes back toward the leaf;
+    # solved one arc at a time, with the leaf folded into its neighbour's
+    # row, the time is the exact rational's to the last few bits
+    code, out, err = run_cli(capsys, "solve", "--fixture", "line5", "--p", "1",
+                             "--q", "1e-12", "--start", "0")
+    assert (code, err) == (0, "")
+    header, data = parse_csv(out)
+    assert dict(zip(header, data[0]))["time"] == "2e+48"  # 12 digits
+    assert expected_time(fixtures.line(5), 1.0, Uniform(1e-12), "0") == \
+        pytest.approx(1.9999999999960004e48, rel=1e-12)
+
+
+# 7 nodes, home 5: a line 5-2-0-1-3-4-6 with a second 4-3 arc
+SEVEN = """home 5
+arc a 1 0 0.5
+arc b 2 0 1.7
+arc c 3 1 1.7
+arc d 4 3 1
+arc e 5 2 1
+arc f 6 4 0.5
+arc g 4 3 2
+"""
+
+
+@pytest.mark.parametrize("net, p, q, start", [
+    ("line5", 1, 1e-6, "0"),
+    ("line7", 0.5, 1e-6, "0"),
+    ("tree", 0.5, 1e-6, "B"),
+    ("line5", 1, 1e-12, "0"),
+    ("cactus6", 0.75, 0.9999, "a6"),
+    ("seven", 0.5, 0.999, "2"),
+])
+def test_near_edge_solves_match_the_elimination(tmp_path, capsys, net, p, q,
+                                                start):
+    # the dense LU of the whole network read these wrong with exit 0, or
+    # exited 4; solved block by block they match the elimination
+    if net in fixtures.FIXTURES:
+        network, source = fixtures.fixture(net), ["--fixture", net]
+    else:
+        text = (SEVEN if net == "seven" else
+                network_to_text(build_network("a0", cactus_arcs(6, seed=0))))
+        path = tmp_path / f"{net}.txt"
+        path.write_text(text)
+        network, source = parse_network_text(text), ["--net", str(path)]
+    code, out, err = run_cli(capsys, "solve", *source, "--p", str(p),
+                             "--q", str(q), "--start", start)
+    assert (code, err) == (0, "")
+    header, data = parse_csv(out)
+    exact = TrustLine(network, p, start, Uniform(q), Uniform(q)).values([0.0])[0]
+    assert float(dict(zip(header, data[0]))["time"]) == pytest.approx(
+        exact, rel=1e-9)
+    assert expected_time(network, p, Uniform(q), start) == pytest.approx(
+        exact, rel=1e-12)
+
+
+def test_fixture_sweep_never_exits_four(capsys):
+    # trusts at and next to 0 and 1 on every fixture: inf and exact values
+    # alike exit 0
+    for name in sorted(fixtures.FIXTURES):
+        net = fixtures.fixture(name)
+        for start in net.nodes:
+            if start == net.home:
+                continue
+            for p in ("0", "0.5", "1"):
+                for q in ("0", "1e-9", "0.5", str(1 - 1e-9), "1"):
+                    code, _, err = run_cli(capsys, "solve", "--fixture", name,
+                                           "--p", p, "--q", q, "--start", start)
+                    assert (code, err) == (0, ""), (name, start, p, q)
+
+
+def test_cap_counts_the_directions_of_each_block(tmp_path, capsys):
+    # 7 triangles have 2**20 directions; each triangle's core has 8
+    path = tmp_path / "cactus7.txt"
+    path.write_text(network_to_text(build_network("a0", cactus_arcs(7, 0))))
+    args = ("solve", "--net", str(path), "--p", "0.75", "--q2", "0.7",
+            "--q4", "0.5", "--start", "a7", "--cap")
+    code, out, err = run_cli(capsys, *args, "8")
+    assert (code, err) == (0, "")
+    header, data = parse_csv(out)
+    assert dict(zip(header, data[0]))["time"] == "89.4244318686"
+    code, out, err = run_cli(capsys, *args, "7")
+    assert code == 3 and out == ""
+    assert "8 direction vectors exceed the enumeration cap 7" in err
 
 
 @pytest.mark.parametrize("p", ["0.1", "0.25", "0.5", "0.75", "0.9", "0.99"])

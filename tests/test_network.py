@@ -14,6 +14,7 @@ from satnav import (
     parse_network_text,
     shortest_paths,
 )
+from satnav.network import blocks
 from conftest import small_networks, star_network
 
 
@@ -188,6 +189,37 @@ def test_bridges_are_exactly_disconnecting_arcs(net):
     bridges, _ = find_bridges_and_cuts(net)
     for a in net.arcs:
         assert (a.arc_id in bridges) == (not _connected_without(net, a.arc_id))
+
+
+def _spans(arcs):
+    """Whether `arcs` connect all of their end nodes."""
+    nodes = {v for a in arcs for v in (a.u, a.v)}
+    reached, frontier = set(), list(nodes)[:1]
+    while frontier:
+        v = frontier.pop()
+        if v not in reached:
+            reached.add(v)
+            frontier += [a.v if a.u == v else a.u for a in arcs if v in (a.u, a.v)]
+    return reached == nodes
+
+
+@given(small_networks())
+@settings(max_examples=40, deadline=None)
+def test_blocks_are_two_connected_and_meet_at_the_cut_nodes(net):
+    parts = blocks(net)
+    assert sorted(a.arc_id for b in parts for a in b) == \
+        sorted(a.arc_id for a in net.arcs)
+    for block in parts:  # no single node disconnects a block
+        ends = {v for a in block for v in (a.u, a.v)}
+        assert all(_spans([a for a in block if v not in (a.u, a.v)])
+                   for v in ends if len(block) > 1 and len(ends) > 2)
+    _, cuts = find_bridges_and_cuts(net)
+    for v in net.nodes:
+        rest = [a for a in net.arcs if v not in (a.u, a.v)]
+        kept = {w for a in rest for w in (a.u, a.v)}
+        disconnects = kept != set(net.nodes) - {v} or not _spans(rest)
+        assert (v in cuts) == disconnects
+    assert blocks(net) is parts  # kept on the network
 
 
 def test_text_round_trip(spike):

@@ -170,16 +170,26 @@ def test_trust_line_reads_its_segment_not_a_coordinate(tree):
 
 
 def test_trust_line_runs_past_the_enumeration_cap():
-    # 7 triangles have 2**20 directions, over the cap: expected_time refuses
-    # them, but the line needs only the reliability. The walker checks it
+    # 7 triangles have 2**20 directions, over the cap; the line needs only
+    # the reliability, and expected_time solves one triangle at a time. The
+    # walker checks both
     net = build_network("a0", cactus_arcs(7, seed=0))
     policy = ByDegree({2: 0.7, 4: 0.5})
-    with pytest.raises(CapExceeded):
-        expected_time(net, 0.75, policy, "a7")
     value = TrustLine(net, 0.75, "a7", policy, policy).values([0.0])[0]
+    assert expected_time(net, 0.75, policy, "a7") == pytest.approx(value,
+                                                                   rel=1e-12)
     sim = simulate(net, 0.75, policy, "a7", 200_000, seed=1)
     assert sim.censored == 0
     assert abs(value - sim.mean) <= 5 * sim.std_error
+
+
+@pytest.mark.parametrize("q", [1.5, -0.5, math.nan])
+def test_trust_line_rejects_a_trust_off_its_segment(tree, q):
+    line = TrustLine(tree, 0.75, "A", Uniform(0.0), Uniform(1.0))
+    with pytest.raises(ValidationError, match="segment"):
+        line.values([0.5, q])
+    with pytest.raises(ValidationError, match="segment"):
+        line.derivatives(q)
 
 
 def test_trust_line_end_derivatives_ignore_nodes_that_cannot_reach_home():

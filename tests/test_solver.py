@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,8 +28,10 @@ from satnav import (
 from satnav import fixtures as fx
 from satnav import pointers, solver
 from satnav.pointers import compile_network, step_table
-from satnav.solver import BLOCK, TimeProfile, profile_residual
-from conftest import CACTUS3, grid3x3, small_networks
+from satnav.closed_form import line_increments
+from satnav.solver import BLOCK, TimeProfile, TrustLine, profile_residual
+from conftest import (CACTUS3, cactus_arcs, grid3x3, quiet_network,
+                      small_networks)
 
 # a direction is a row of pointer slots, one per branch node in node order;
 # slot s is the node's s-th incident arc in the order the arcs were given
@@ -440,3 +443,71 @@ def test_threads_sharing_a_network_get_their_own_policy(tree):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [{want[k % 4]} for k in range(8)]
+
+
+# --- block by block: networks with a cut node other than home --------------
+
+
+@given(small_networks(), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+       st.floats(min_value=1e-3, max_value=0.999))
+@settings(max_examples=60, deadline=None)
+def test_profile_matches_the_elimination_on_random_networks(net, p, q):
+    # the GTH elimination (TrustLine) is accurate to a few units in the last
+    # place at any trust; blocks and folded leaves keep the LU within 1e-9
+    profile = expected_profile(net, p, Uniform(q))
+    for start in net.nodes:
+        line = TrustLine(net, p, start, Uniform(q), Uniform(q))
+        assert profile[start] == pytest.approx(line.values([0.0])[0], rel=1e-9)
+
+
+def test_long_line_solves_one_arc_at_a_time():
+    # 500 unit arcs: 2**499 directions, far over the cap, in one core each
+    line = fx.line(500)
+    begin = time.perf_counter()
+    value = expected_time(line, 0.75, Uniform(0.6), "0")
+    took = time.perf_counter() - begin
+    crossing = math.fsum(line_increments([1.0] * 500, 500, 0.75, 0.6))
+    assert value == pytest.approx(crossing, rel=1e-12)
+    assert took < 1.0
+
+
+def test_twenty_triangles_agree_with_the_walker():
+    # 2**59 directions; each core is one triangle with two stubs
+    net = build_network("a0", cactus_arcs(20, seed=0))
+    policy = ByDegree({2: 0.7, 4: 0.5})
+    exact = expected_time(net, 0.75, policy, "a20")
+    assert exact == pytest.approx(352.23181113557916, rel=1e-12)
+    sim = simulate(net, 0.75, policy, "a20", 100_000, seed=0)
+    assert sim.censored == 0
+    assert abs(sim.mean - exact) <= 5 * sim.std_error
+
+
+@pytest.mark.parametrize("net, policy", [
+    # at trust 1 the triangle behind V traps the walk: its excursion is +inf
+    (build_network("H", [("VH", "V", "H", 1), ("VX", "V", "X", 1),
+                         ("XY", "X", "Y", 1), ("YV", "Y", "V", 1)]),
+     Uniform(1.0)),
+    # X's two arcs tie in the triangle homed at A, but not after the long
+    # arc's rounding, so the core would give X another pointer law
+    (build_network("H", [("HA", "H", "A", 1e10), ("AM", "A", "M", 0.2),
+                         ("MX", "M", "X", 0.1), ("XA", "X", "A", 0.3)]),
+     Uniform(0.6)),
+], ids=["infinite-excursion", "tie-rounds-apart"])
+def test_whole_network_where_blocks_would_differ(net, policy):
+    space = enumerate_direction_space(net, p=0.75)
+    assert expected_profile(net, 0.75, policy) == \
+        expected_profile(net, 0.75, policy, space=space)
+
+
+def test_a_home_cut_node_alone_keeps_the_whole_solve(monkeypatch):
+    bowtie = quiet_network("H", [("HA", "H", "A", 1), ("AB", "A", "B", 1),
+                                 ("BH", "B", "H", 2), ("HC", "H", "C", 1),
+                                 ("CD", "C", "D", 2), ("DH", "D", "H", 1)])
+    solved = []
+    whole = solver._weighted_profile
+    monkeypatch.setattr(solver, "_weighted_profile",
+                        lambda net, *rest: solved.append(net) or whole(net, *rest))
+    expected_profile(bowtie, 0.75, Uniform(0.6))
+    assert solved == [bowtie]
+    expected_profile(fx.tree(), 0.75, Uniform(0.6))
+    assert len(solved) == 5  # one core per arc of the tree
