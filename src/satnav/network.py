@@ -3,8 +3,9 @@
 A network is an undirected multigraph with positive arc lengths and a
 distinguished home node. Parallel arcs are allowed (and needed: the
 circle-with-spike fixture has two arcs between the same pair of nodes);
-self-loops are rejected. Networks and all derived data are immutable after
-construction and safe to share between threads.
+self-loops are rejected. A network never changes after construction. Data
+derived from it is filled in lazily, the step table replaced per policy, and
+threads that share a network each get their own policy's answer.
 """
 
 from __future__ import annotations

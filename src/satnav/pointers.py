@@ -39,9 +39,12 @@ class CompiledNetwork:
     Slot s of node i leads to `dest[i, s]` over `alen[i, s]`. `branch`
     lists the pointer sites in index order, `branch_degree` their degrees.
     Table rows from `row_start[i]` belong to node i: one per pointer slot
-    at a branch node, one elsewhere. `col` numbers the non-home nodes, the
-    unknowns of the hitting-time systems; home gets the spare column after
-    them.
+    at a branch node, one elsewhere. Per row, `row_dest` and `row_len` are
+    its node's `dest` and `alen`, `row_used` marks the slots in use,
+    `row_pointer` the row's pointer (a leaf's one arc, at trust 1) and
+    `row_spread` is max(degree - 1, 1): the arrays of `chances`, the step
+    law. `col` numbers the non-home nodes, the unknowns of the hitting-time
+    systems; home gets the spare column after them.
     """
 
     def __init__(self, net: Network):
@@ -59,12 +62,37 @@ class CompiledNetwork:
         self.branch = sorted(self.index[v] for v in classify(net).branch_nodes)
         self.branch_degree = np.array(self.degree)[self.branch]
         n_rows = [d if i in self.branch else 1 for i, d in enumerate(self.degree)]
-        self.row_start = np.cumsum([0] + n_rows[:-1])
-        self.row_node = np.repeat(np.arange(len(net.nodes)), n_rows)
+        start = self.row_start = np.cumsum([0] + n_rows[:-1])
+        node = self.row_node = np.repeat(np.arange(len(net.nodes)), n_rows)
+        self.row_dest, self.row_len = self.dest[node], self.alen[node]
+        slot = np.arange(self.dest.shape[1])
+        degree = np.array(self.degree)[node, None]
+        self.row_used = slot < degree
+        self.row_pointer = slot == (np.arange(len(node)) - start[node])[:, None]
+        self.row_spread = np.maximum(degree - 1, 1)
         self.nonhome = np.delete(np.arange(len(net.nodes)), self.home)
         self.col = np.full(len(net.nodes), len(self.nonhome))
         self.col[self.nonhome] = np.arange(len(self.nonhome))
         self.last_steps = None  # (policy, StepTable) of the latest policy
+
+    def chances(self, trust, rows=slice(None)) -> np.ndarray:
+        """The step law: chances[..., r, s] to leave the node of table row
+        `rows[r]` through slot s when that row's trust is trust[..., r]: the
+        trust on the row's pointer, (1 - trust)/spread on each other slot in
+        use, 0 on a slot the node does not have."""
+        t = np.asarray(trust, dtype=float)[..., None]
+        return np.where(self.row_pointer[rows], t,
+                        self.row_used[rows] * ((1.0 - t) / self.row_spread[rows]))
+
+
+def lost_nodes(reach: np.ndarray, home: int) -> np.ndarray:
+    """lost[..., v]: from node v the walk can enter a node from which node
+    `home` cannot be reached, when reach[..., v, w] says whether v can step
+    to w; batched over the leading axes."""
+    reach = reach | np.eye(reach.shape[-1], dtype=bool)
+    for _ in range(reach.shape[-1].bit_length()):
+        reach = reach @ reach  # then reach[..., v, w]: w reachable from v
+    return (reach & ~reach[..., None, :, home]).any(axis=-1)
 
 
 def compile_network(net: Network) -> CompiledNetwork:
@@ -171,29 +199,25 @@ def sample_pointer_slots(net: Network, spd: ShortestPathData, p: float,
 
 class StepTable:
     """`probs[r, s]`: the chance to leave through slot s from the node of
-    table row r, under that row's pointer slot: the trust q on the pointer,
-    (1-q)/(deg-1) on each other arc, certainty at a leaf."""
+    table row r, under that row's pointer slot: `CompiledNetwork.chances` at
+    the row's `trust`, the policy's at a branch node and 1 elsewhere. `sharp`
+    marks the branch positions of trust 0 or 1, where a step is ruled out."""
 
     def __init__(self, form: CompiledNetwork, policy):
         self.form = form
-        self.probs = np.zeros((len(form.row_node), form.dest.shape[1]))
-        self.probs[form.row_start, 0] = 1.0  # leaves; home's row is unused
-        self.sharp = []  # branch positions whose pointer rules out a step
-        for j, i in enumerate(form.branch):
-            deg, q = form.degree[i], policy.trust_at(form.degree[i])
-            rows = form.row_start[i] + np.arange(deg)
-            self.probs[rows, :deg] = (1.0 - q) / (deg - 1)
-            self.probs[rows, np.arange(deg)] = q
-            if q in (0.0, 1.0):
-                self.sharp.append(j)
-        self._finite = {}
+        trust = np.ones(len(form.nodes))
+        # in branch order, so that a missing degree raises at the first one
+        trust[form.branch] = list(map(policy.trust_at, form.branch_degree.tolist()))
+        self.sharp = np.isin(trust[form.branch], (0.0, 1.0))
+        self.trust = trust[form.row_node]
+        self.probs = form.chances(self.trust)
 
     @cached_property
     def cum(self) -> np.ndarray:
         """The walker's cumulative `probs`: 1.0 from each row's last slot on."""
         cum = np.cumsum(self.probs, axis=1)
-        last = np.array(self.form.degree)[self.form.row_node] - 1
-        cum[np.arange(cum.shape[1]) >= last[:, None]] = 1.0
+        last = self.form.row_used.sum(axis=1, keepdims=True) - 1
+        cum[np.arange(cum.shape[1]) >= last] = 1.0
         return cum
 
     @cached_property
@@ -206,32 +230,23 @@ class StepTable:
     def table_rows(self, slots) -> tuple[np.ndarray, np.ndarray]:
         """Per direction (row of `slots`): the row of `system` for each
         non-home node, and the mask of finite expected times. A node of
-        infinite time gets its identity row; no finite node steps to it."""
+        infinite time gets its identity row; no finite node steps to it.
+        Without a sharp node every node is finite; otherwise `lost_nodes`
+        runs on one batch of the patterns of the sharp nodes' pointers."""
         form = self.form
         rid = np.tile(form.row_start[form.nonhome], (len(slots), 1))
         rid[:, form.col[form.branch]] += slots
-        keys, first, inverse = np.unique(slots[:, self.sharp], axis=0,
-                                         return_index=True, return_inverse=True)
-        finite = np.array([self.finite(key, rid[k]) for key, k
-                           in zip(map(tuple, keys.tolist()), first)])[inverse]
+        if not self.sharp.any():
+            return rid, np.ones(rid.shape, dtype=bool)
+        _, first, inverse = np.unique(slots[:, self.sharp], axis=0,
+                                      return_index=True, return_inverse=True)
+        rows = rid[first]  # one direction of each pattern
+        pattern, k, s = np.nonzero(self.probs[rows] > 0.0)
+        reach = np.zeros((len(rows),) + (len(form.nodes),) * 2, dtype=bool)
+        reach[pattern, form.nonhome[k], form.row_dest[rows][pattern, k, s]] = True
+        finite = ~lost_nodes(reach, form.home)[:, form.nonhome][inverse]
         rid[~finite] = len(self.probs) + np.nonzero(~finite)[1]
         return rid, finite
-
-    def finite(self, key: tuple, rid) -> np.ndarray:
-        """Mask of the non-home nodes with finite expected time when they
-        step by table rows `rid`; kept per `key`, the pointers at the nodes
-        of trust 0 or 1, so there is one pattern when no trust is 0 or 1."""
-        if key not in self._finite:
-            form = self.form
-            k, s = np.nonzero(self.probs[rid] > 0.0)
-            reach = np.eye(len(form.nodes), dtype=bool)
-            reach[form.nonhome[k], form.dest[form.nonhome[k], s]] = True
-            for _ in range(len(form.nodes).bit_length()):
-                reach = reach @ reach  # then reach[v, w]: w reachable from v
-            # lost: can reach a node from which home is unreachable
-            lost = (reach & ~reach[:, form.home]).any(axis=1)
-            self._finite[key] = ~lost[form.nonhome]
-        return self._finite[key]
 
 
 def assemble(form: CompiledNetwork, probs: np.ndarray
@@ -251,18 +266,15 @@ def assemble(form: CompiledNetwork, probs: np.ndarray
     every = np.arange(len(probs))
     rows = np.zeros((len(every), len(form.nonhome) + 1))
     rhs = np.zeros(len(every))
-    node, degree = form.row_node, np.array(form.degree)
-    dest = form.dest[node]
-    alen, dcol, diag = form.alen[node], form.col[dest], form.col[node]
-    used = np.arange(probs.shape[1]) < degree[node, None]
-    leaf = used & (degree[dest] == 1) & (dest != form.home)
+    dest, diag = form.row_dest, form.col[form.row_node]
+    leaf = form.row_used & (np.array(form.degree)[dest] == 1) & (dest != form.home)
     folded = leaf.any(axis=1)
     rows[every, diag] = np.where(folded, 0.0, 1.0)
     for s in range(probs.shape[1]):
         fold = leaf[:, s]
-        rhs += np.where(fold, 2.0, 1.0) * probs[:, s] * alen[:, s]
+        rhs += np.where(fold, 2.0, 1.0) * probs[:, s] * form.row_len[:, s]
         step = np.where(fold, 0.0, probs[:, s])
-        rows[every, dcol[:, s]] -= step
+        rows[every, form.col[dest[:, s]]] -= step
         rows[every, diag] += np.where(folded, step, 0.0)
     return (np.vstack([rows[:, :-1], np.eye(len(form.nonhome))]),
             np.concatenate([rhs, np.zeros(len(form.nonhome))]))

@@ -1,11 +1,13 @@
 """Exact expected hitting times for fixed pointers, and their average.
 
 For one direction vector the walk is a Markov chain on the nodes with home
-absorbing: at a branch node the pointer arc is taken with the trust
-probability, every other incident arc uniformly otherwise; a leaf reflects.
-Expected hitting times solve a dense linear system per direction vector,
-gathered from the step table's rows of I - P, one stacked solve per block
-of directions, and are then averaged with the direction-space weights.
+absorbing. `CompiledNetwork.chances` states its step law once, for the
+LAPACK path, `TrustLine` and the walker: at a branch node the pointer arc
+is taken with the trust probability, every other incident arc uniformly
+otherwise; a leaf reflects. Expected hitting times solve a dense linear
+system per direction vector, gathered from the step table's rows of I - P,
+one stacked solve per block of directions, and are then averaged with the
+direction-space weights.
 
 A network with a cut node other than home is solved one block of its
 block-cut tree at a time, leaf-up from home: each part that hangs off a cut
@@ -16,11 +18,12 @@ are never multiplied together, and the enumeration cap bounds each block's
 core alone. A network whose only cut node, if any, is home is solved whole.
 
 Nodes from which the induced chain cannot reach home -- or that can wander
-into a region that cannot -- have infinite expected time. They are found by
-reachability analysis before solving and get identity rows, so cycling
-pointer configurations are exact infinities rather than solver blow-ups.
-A solve that fails in LAPACK or returns a negative or NaN time raises
-SingularSystem instead of answering.
+into a region that cannot -- have infinite expected time. `lost_nodes`
+finds them, for `TrustLine` too; before a solve it runs once per pattern of
+the pointers at the nodes of trust 0 or 1, and not at all without such a
+node. They get identity rows, so cycling pointer configurations are exact
+infinities rather than solver blow-ups. A solve that fails in LAPACK or
+returns a negative or NaN time raises SingularSystem instead of answering.
 
 The optimizer's trust search runs on a second engine, `TrustLine`, along a
 segment between two trust policies. It reads only the reliability and solves
@@ -30,18 +33,8 @@ the directions that extend it, and carries every trust of a search, or the
 first and second derivatives at one trust, through one pass. It stays
 accurate near trusts 0 and 1, where LU loses a near trap's escape mass.
 
-A vectorized Monte Carlo walker provides an independent check on all of the
-exact machinery. It draws the pointers in chunks of WALK_CHUNK walks and
-keeps them as one table row per (walk, node), and each live walk as one
-int32 flat (walk, node) index into them plus its time; a step runs the
-live walks in chunks of WALK_CHUNK and moves the survivors to the front of
-the same arrays. The step's finish times go behind them in the same time
-array. With a table of at most 256 rows the walker holds n_nodes + 12
-bytes per walk in every phase up to the statistics, finish times included,
-plus 8 for each walk that finishes in the step being run; the statistics
-hold at most 16 bytes per walk. Its draws are one uniform per pointer and
-one per live walk per step, whatever the chunk. n_walks x n_nodes above
-2**31 - 1 raises ValidationError before any draw.
+A vectorized Monte Carlo walker, `simulate`, provides an independent check
+on all of the exact machinery; its docstring states its draws and memory.
 """
 
 from __future__ import annotations
@@ -62,6 +55,7 @@ from .pointers import (
     WeightedDirectionSpace,
     compile_network,
     enumerate_direction_space,
+    lost_nodes,
     pointer_table,
     sample_pointer_slots,
     step_table,
@@ -353,7 +347,7 @@ class TrustLine:
     """Expected time from `start`, averaged over the directions at reliability
     `p`, along the segment from trust policy `low` at q = 0 to `high` at
     q = 1: a row's trust t is its trust under `low` plus q times its change
-    to `high`; its pointer slot takes t, every other arc (1 - t)/(deg - 1).
+    to `high`, and `CompiledNetwork.chances` gives its step chances at t.
     It reads only the reliability of the directions and solves no system.
 
     The non-home nodes are eliminated one at a time: leaves first, then
@@ -385,11 +379,12 @@ class TrustLine:
     nearly flat in the number of directions.
 
     A branch node with a step chance of 0 (a trust of 0 or 1) is split
-    before anything is eliminated, so that each state knows which nodes
-    cannot reach home. Those nodes count as home for the others, as the
-    identity rows of the exact path do: a node the chain cannot enter at
-    that trust adds nothing to the one-sided derivatives at a trust of 0
-    or 1. A start that cannot reach home gives +inf.
+    before anything is eliminated, so that each state knows, by
+    `lost_nodes`, which nodes cannot reach home. Those nodes count as home
+    for the others, as the identity rows of the exact path do: a node the
+    chain cannot enter at that trust adds nothing to the one-sided
+    derivatives at a trust of 0 or 1. A start that cannot reach home gives
+    +inf.
     """
 
     def __init__(self, net: Network, p: float, start: str,
@@ -397,7 +392,7 @@ class TrustLine:
         if start not in net.nodes:
             raise ValidationError(f"unknown start node {start!r}")
         self.net, self.start = net, start
-        form = compile_network(net)
+        form = self.form = compile_network(net)
         origin = form.index[start]
         branch = set(form.branch)
         order = [] if origin == form.home else sorted(
@@ -411,22 +406,16 @@ class TrustLine:
                     for i, s in zip(order, slots)]
         self.sizes = [len(s) for s in slots]
         self.first = np.cumsum([0] + self.sizes)  # each node's first row
-        rows = np.concatenate([form.row_start[i] + s
-                               for i, s in zip(order, slots)]
-                              or [np.zeros(0, dtype=int)])
+        self.rows = rows = np.concatenate([form.row_start[i] + s
+                                           for i, s in zip(order, slots)]
+                                          or [np.zeros(0, dtype=int)])
         self.row_node = np.repeat(np.arange(len(order)), self.sizes)
         col = np.full(len(form.nodes), len(order))  # home: the exit column
         col[order] = np.arange(len(order))
-        node, at = form.row_node[rows], np.arange(form.dest.shape[1])
-        self.dcol, self.alen = col[form.dest[node]], form.alen[node]
-        degree = np.array(form.degree)[node, None]
-        self.spread = np.maximum(degree - 1, 1)
-        self.arc = at < degree  # slots in use
-        # a leaf's pointer is its one arc, taken with trust 1 at either end
-        self.pointer = at == (rows - form.row_start[node])[:, None]
-        low, high = (StepTable(form, policy).probs[rows] for policy in (low, high))
-        self.slope = high - low
-        self.trust, self.change = low[self.pointer], self.slope[self.pointer]
+        self.dcol, self.alen = col[form.row_dest[rows]], form.row_len[rows]
+        low, high = (StepTable(form, policy).trust[rows] for policy in (low, high))
+        self.slope = form.chances(high, rows) - form.chances(low, rows)
+        self.trust, self.change = low, high - low
 
     def _table(self, probs: np.ndarray) -> np.ndarray:
         """Rows of entries toward each node in elimination order, the exit
@@ -439,18 +428,14 @@ class TrustLine:
         return table
 
     def _lost(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """lost[trust, state, node]: from the node, home is not reached
-        almost surely when state k steps by table rows `rows[k]` with
-        chances `probs`."""
+        """lost[trust, state, node]: home is not reached almost surely from
+        the node when state k steps by table rows `rows[k]` at `probs`."""
         n = len(self.sizes)
         trust, state, row, slot = np.nonzero(probs[:, rows] > 0.0)
         reach = np.zeros((len(probs), len(rows), n + 1, n + 1), dtype=bool)
-        reach[..., np.arange(n + 1), np.arange(n + 1)] = True
         picked = rows[state, row]
         reach[trust, state, self.row_node[picked], self.dcol[picked, slot]] = True
-        for _ in range((n + 1).bit_length()):
-            reach = reach @ reach
-        return (reach & ~reach[..., None, :, n]).any(axis=-1)[..., :n]
+        return lost_nodes(reach, n)[..., :n]
 
     def _expected(self, trusts, order: int) -> np.ndarray:
         """Taylor coefficients in q up to `order` of the expected time from
@@ -460,11 +445,9 @@ class TrustLine:
             raise ValidationError(f"trusts {trusts} leave the segment's [0, 1]")
         if not self.sizes:  # the start is home
             return np.zeros((order + 1, len(trusts)))
-        t = (self.trust + q * self.change)[..., None]  # [trust, row, 1]
-        probs = np.where(self.pointer, t, self.arc * ((1.0 - t) / self.spread))
-        zero = ((probs == 0.0) & self.arc).any(axis=(0, 2))
-        sharp = [i for i in range(len(self.sizes))
-                 if zero[self.first[i]:self.first[i + 1]].any()]
+        probs = self.form.chances(self.trust + q * self.change, self.rows)
+        zero = ((probs == 0.0) & self.form.row_used[self.rows]).any(axis=(0, 2))
+        sharp = sorted(set(self.row_node[zero].tolist()))
         counts = [self.sizes[i] for i in sharp]
         states = math.prod(counts)
         # the last split node's pick varies slowest, as _average's slots do
@@ -599,12 +582,16 @@ def simulate(
     2**31 - 1, so that every walk's place fits one int32 index.
 
     Pointers and steps are drawn in chunks of WALK_CHUNK walks, the stream
-    of one draw over all of them. The live walks' times sit at the front of
-    one array of n_walks times and the finish times at its back, so the
-    walker holds n_nodes + 12 bytes per walk in every phase up to the
-    statistics, finish times included, plus 8 for each walk that finishes
-    in the step being run. The statistics copy the finish times back into
-    finish order beside the time array: at most 16 bytes per walk.
+    of one draw over all of them: one uniform per pointer and one per live
+    walk per step, whatever the chunk. The pointers are kept as one table
+    row per (walk, node), and each live walk as one int32 flat (walk, node)
+    index into them plus its time; a step moves the survivors to the front
+    of the same arrays, and its finish times go to the back of the time
+    array. So with a table of at most 256 rows the walker holds n_nodes +
+    12 bytes per walk in every phase up to the statistics, finish times
+    included, plus 8 for each walk that finishes in the step being run. The
+    statistics copy the finish times back into finish order beside the time
+    array: at most 16 bytes per walk.
     """
     if n_walks < 1:
         raise ValidationError("n_walks must be >= 1")
@@ -634,10 +621,9 @@ def simulate(
     rows = rows.ravel()
     # entry row * width + s: how far slot s of that row's node moves the
     # flat (walk, node) index, whether it arrives home, and its length
-    dest = form.dest[form.row_node]
-    delta = (dest - form.row_node[:, None]).astype(np.int32).ravel()
-    home_at = (dest == form.home).ravel()
-    row_len = form.alen[form.row_node].ravel()
+    delta = (form.row_dest - form.row_node[:, None]).astype(np.int32).ravel()
+    home_at = (form.row_dest == form.home).ravel()
+    row_len = form.row_len.ravel()
     longest = float(row_len.max())
     thresholds = steps.cum.T[:-1]
 

@@ -28,6 +28,7 @@ from conftest import (
     CACTUS3,
     cactus_arcs,
     grid3x3,
+    quiet_network,
     rational_expected_profile,
     small_networks,
     star_network,
@@ -122,6 +123,36 @@ def test_trust_line_cactus3_near_edges_match_exact_rationals(at, q):
         line = TrustLine(net, 0.75, start, at(0.0), at(1.0))
         assert line.values([q])[0] == pytest.approx(float(exact[start]),
                                                     rel=1e-12), start
+
+
+@st.composite
+def grid2x3_or_two_triangles(draw):
+    """A 2x3 grid or a chain of two triangles a0-x1-a1-x2-a2, with random
+    arc lengths and a random home."""
+    if draw(st.booleans()):
+        ends = [(f"r{i}c{j}", f"r{i}c{j + 1}") for i in (0, 1) for j in (0, 1)]
+        ends += [(f"r0c{j}", f"r1c{j}") for j in (0, 1, 2)]
+    else:
+        ends = [(f"a{k - 1}", f"x{k}") for k in (1, 2)]
+        ends += [(f"x{k}", f"a{k}") for k in (1, 2)]
+        ends += [(f"a{k - 1}", f"a{k}") for k in (1, 2)]
+    length = st.floats(min_value=0.5, max_value=3.0)
+    arcs = [(f"e{k}", u, v, draw(length)) for k, (u, v) in enumerate(ends)]
+    nodes = sorted({v for pair in ends for v in pair})
+    return quiet_network(draw(st.sampled_from(nodes)), arcs)
+
+
+@given(st.one_of(small_networks(max_nodes=6), grid2x3_or_two_triangles()))
+@settings(max_examples=20, deadline=None)
+def test_trust_line_values_match_exact_rationals(net):
+    # every start, reliability and trust, near-edge trusts included
+    for p in (0.25, 0.75, 1.0):
+        for q in (1e-6, 1e-3, 0.5, 0.999, 1 - 1e-6):
+            exact = rational_expected_profile(net, p, Uniform(q))
+            for start, value in exact.items():
+                line = TrustLine(net, p, start, Uniform(q), Uniform(q))
+                assert line.values([0.0])[0] == pytest.approx(
+                    float(value), rel=1e-12), (p, q, start)
 
 
 def on_segment(low, high, q):

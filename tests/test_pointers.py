@@ -15,6 +15,7 @@ from scipy import stats
 
 from satnav import (
     CapExceeded,
+    Uniform,
     classify,
     enumerate_direction_space,
     sample_pointer_slots,
@@ -22,7 +23,7 @@ from satnav import (
 )
 from satnav import fixtures as fx
 from satnav import pointers
-from satnav.pointers import pointer_table
+from satnav.pointers import StepTable, compile_network, pointer_table
 from conftest import small_networks
 
 
@@ -198,3 +199,18 @@ def test_sampled_slots_are_narrow_and_unchanged(spike):
     digest = hashlib.sha256(ptr.astype(np.int64).tobytes()).hexdigest()
     assert digest == ("e9500c2d0b0760d329b4ad8ecfa4acad"
                       "dba1f0435b345aea12cca0214a1913a2")
+
+
+@given(small_networks(),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_chances_is_the_step_table_law(net, trusts):
+    # one batch of trusts gives each trust's step table, bit for bit
+    form = compile_network(net)
+    trusts = [0.0, 1.0] + trusts
+    at_branch = np.isin(form.row_node, form.branch)
+    batch = form.chances(np.where(at_branch, np.array(trusts)[:, None], 1.0))
+    assert batch.shape == (len(trusts),) + form.row_dest.shape
+    for q, probs in zip(trusts, batch):
+        assert probs.tobytes() == StepTable(form, Uniform(q)).probs.tobytes()
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15

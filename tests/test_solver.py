@@ -95,6 +95,10 @@ def test_forced_path():
 @pytest.mark.parametrize("name, policy", [
     ("spike", ByDegree({2: 1.0, 3: 0.55})),  # A's pointer: 2 step patterns
     ("triangle", Uniform(0.0)),  # pointers at home strand both nodes
+    # every branch node is sharp, so each direction is its own pattern: 8
+    # and 6 patterns, of which 4 and 5 strand a node
+    ("c4", Uniform(1.0)),
+    ("tree", ByDegree({2: 0.0, 3: 1.0})),
 ])
 def test_block_rows_equal_single_direction_solves(name, policy):
     net = fx.fixture(name)
@@ -108,6 +112,8 @@ def test_block_rows_equal_single_direction_solves(name, policy):
         assert block[k].tolist() == single.tolist()
     if name == "triangle":
         assert np.isinf(block).any() and np.isfinite(block[:, :2]).any()
+    stranding = {"spike": 0, "triangle": 1, "c4": 4, "tree": 5}[name]
+    assert np.isinf(block).any(axis=1).sum() == stranding
 
 
 def test_expected_profile_is_the_in_order_sum_of_single_solves():
