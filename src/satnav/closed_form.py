@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotATree, ValidationError, check_probability
-from .network import Arc, Network, classify
+from .network import Network, classify
 from .solver import ByDegree
 
 # relative window around the removable singularity p = (n-1)/n where the
@@ -246,41 +246,24 @@ def tree_solve_counting(
             f"in a tree, got {len(net.arcs)}"
         )
 
-    home = net.home
-    successor_arc: dict[str, Arc] = {}
-    antecedents: dict[str, list[str]] = {v: [] for v in net.nodes}
-    order = [home]
-    seen = {home}
-    for v in order:
-        for a in net.incident(v):
-            w = a.other(v)
-            if w in seen:
-                continue
-            seen.add(w)
-            successor_arc[w] = a
-            antecedents[v].append(w)
-            order.append(w)
-
     branch_degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
     policy = ByDegree({k: star_optimal_trust(k, p) for k in branch_degrees})
 
-    # increment S(v): expected time from v to its successor
+    # every block is one arc; leaf-up, increment S(v) is the expected time
+    # from v to its attachment, and back[v] sums the round trips below v
     increment: dict[str, float] = {}
-    for v in reversed(order):
-        if v == home:
-            continue
-        arc = successor_arc[v]
+    back = dict.fromkeys(net.nodes, 0.0)
+    for (arc,), attach in net.blocks:
+        v = arc.other(attach)
         s = arc.length
-        if antecedents[v]:
+        if net.degree(v) > 1:
             m = bridge_M(net.degree(v), p, policy.trust_at(net.degree(v)))
-            s += m * sum(
-                successor_arc[w].length + increment[w] for w in antecedents[v]
-            )
+            s += m * back[v]
         increment[v] = s
+        back[attach] += arc.length + s
 
-    profile: dict[str, float] = {home: 0.0}
-    for v in order:
-        if v == home:
-            continue
-        profile[v] = profile[successor_arc[v].other(v)] + increment[v]
+    profile: dict[str, float] = {net.home: 0.0}
+    for (arc,), attach in reversed(net.blocks):  # home-down
+        v = arc.other(attach)
+        profile[v] = profile[attach] + increment[v]
     return policy, profile

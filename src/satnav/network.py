@@ -3,9 +3,10 @@
 A network is an undirected multigraph with positive arc lengths and a
 distinguished home node. Parallel arcs are allowed (and needed: the
 circle-with-spike fixture has two arcs between the same pair of nodes);
-self-loops are rejected. A network never changes after construction. Data
-derived from it is filled in lazily, the step table replaced per policy, and
-threads that share a network each get their own policy's answer.
+self-loops are rejected. A network never changes after construction. Its
+block-cut tree is found once, as it is built, by one depth-first search from
+home; other derived data is filled in lazily, the step table replaced per
+policy, and threads that share a network each get their own policy's answer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -48,10 +48,17 @@ class Network:
     Raises ValidationError on self-loops, lengths that are not finite and
     positive, duplicate arc ids, disconnected graphs, or a home node with no
     incident arc.
-    A home that is a cut node is legal but unusual, so it draws a warning.
+
+    `blocks` is the block-cut tree: the blocks (2-connected components), each
+    as `(arcs, attachment)`, found by one depth-first search from home
+    (Hopcroft and Tarjan, Communications of the ACM 16(6), 1973). A block's
+    attachment is home, or the cut node through which the block reaches
+    home, and every block comes after the blocks that hang off its nodes.
+    Parallel arcs share a block: the search skips only the specific arc it
+    entered on, so a twin arc shows up as a back arc.
     """
 
-    def __init__(self, arcs: Iterable[Arc], home: str, _warn_cut_home: bool = True):
+    def __init__(self, arcs: Iterable[Arc], home: str):
         arcs = tuple(arcs)
         seen_ids = set()
         for a in arcs:
@@ -82,30 +89,42 @@ class Network:
         self._arc_by_id: dict[str, Arc] = {a.arc_id: a for a in arcs}
         # arrays built on first use by satnav.pointers.compile_network
         self._compiled = None
-        self._blocks = None  # filled on first use by blocks()
+        self.blocks = self._block_cut_tree()
 
-        # connectivity
-        reached = {home}
-        stack = [home]
+    def _block_cut_tree(self) -> tuple[tuple[tuple[Arc, ...], str], ...]:
+        """`blocks`, by one iterative depth-first search from home."""
+        disc = {self.home: 0}
+        low = {self.home: 0}
+        found: list[tuple[tuple[Arc, ...], str]] = []
+        arcs: list[Arc] = []  # arcs met and not yet in a block, in DFS order
+        # stack entries: (node, entering arc, its place in arcs, incident arcs)
+        stack = [(self.home, None, 0, iter(self._incident[self.home]))]
         while stack:
-            v = stack.pop()
-            for a in self._incident[v]:
+            v, in_arc, mark, it = stack[-1]
+            for a in it:
+                if a is in_arc:
+                    continue
                 w = a.other(v)
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != len(self.nodes):
-            missing = sorted(set(self.nodes) - reached)
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, a, len(arcs), iter(self._incident[w])))
+                    arcs.append(a)
+                    break
+                if disc[w] < disc[v]:  # a back arc, met first from its lower end
+                    arcs.append(a)
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:  # parent cuts v's subtree off
+                        found.append((tuple(arcs[mark:]), parent))
+                        del arcs[mark:]
+        if len(disc) != len(self.nodes):
+            missing = sorted(set(self.nodes) - disc.keys())
             raise ValidationError(f"network is disconnected: {missing} unreachable")
-
-        if _warn_cut_home:
-            _, cuts = find_bridges_and_cuts(self)
-            if home in cuts:
-                warnings.warn(
-                    f"home node {home!r} is a cut node; expected times from the "
-                    "far side decompose through it",
-                    stacklevel=3,
-                )
+        return tuple(found)
 
     def incident(self, v: str) -> tuple[Arc, ...]:
         return self._incident[v]
@@ -128,7 +147,7 @@ class Network:
             raise ValidationError(f"unknown node {new_home!r}")
         if new_home == self.home:
             return self
-        return Network(self.arcs, new_home, _warn_cut_home=False)
+        return Network(self.arcs, new_home)
 
     def __repr__(self) -> str:
         return (
@@ -200,59 +219,15 @@ def shortest_paths(net: Network) -> ShortestPathData:
     return ShortestPathData(dist, correct)
 
 
-def blocks(net: Network) -> tuple[tuple[Arc, ...], ...]:
-    """The blocks (2-connected components) of `net`, each as its arcs; found
-    by one depth-first search on first use and kept on the network.
-
-    Parallel arcs share a block: the search skips only the specific arc it
-    entered on, so a twin arc shows up as a back arc (Hopcroft and Tarjan,
-    Communications of the ACM 16(6), 1973).
-    """
-    if net._blocks is not None:
-        return net._blocks
-    root = net.nodes[0]  # a network is connected
-    disc = {root: 0}
-    low = {root: 0}
-    found: list[tuple[Arc, ...]] = []
-    arcs: list[Arc] = []  # arcs met and not yet in a block, in DFS order
-    # stack entries: (node, entering arc, its place in arcs, incident arcs)
-    stack = [(root, None, 0, iter(net.incident(root)))]
-    while stack:
-        v, in_arc, mark, it = stack[-1]
-        for a in it:
-            if a is in_arc:
-                continue
-            w = a.other(v)
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, a, len(arcs), iter(net.incident(w))))
-                arcs.append(a)
-                break
-            if disc[w] < disc[v]:  # a back arc, met first from its lower end
-                arcs.append(a)
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:  # parent cuts v's subtree off
-                    found.append(tuple(arcs[mark:]))
-                    del arcs[mark:]
-    net._blocks = tuple(found)
-    return net._blocks
-
-
 def find_bridges_and_cuts(net: Network) -> tuple[frozenset[str], frozenset[str]]:
-    """Bridge arcs, the blocks of one arc, and cut (articulation) nodes, the
-    nodes of more than one block. Parallel arcs are never bridges."""
-    seen: set[str] = set()
-    cuts: set[str] = set()
-    for block in blocks(net):
-        nodes = {a.u for a in block} | {a.v for a in block}
-        cuts |= seen & nodes
-        seen |= nodes
-    return (frozenset(b[0].arc_id for b in blocks(net) if len(b) == 1),
+    """Bridge arcs, the blocks of one arc, and cut (articulation) nodes: the
+    attachments other than home, and home when two or more blocks attach
+    there. Parallel arcs are never bridges."""
+    attachments = [attach for _, attach in net.blocks]
+    cuts = set(attachments)
+    if attachments.count(net.home) < 2:
+        cuts.discard(net.home)
+    return (frozenset(arcs[0].arc_id for arcs, _ in net.blocks if len(arcs) == 1),
             frozenset(cuts))
 
 

@@ -89,9 +89,13 @@ def lost_nodes(reach: np.ndarray, home: int) -> np.ndarray:
     """lost[..., v]: from node v the walk can enter a node from which node
     `home` cannot be reached, when reach[..., v, w] says whether v can step
     to w; batched over the leading axes."""
-    reach = reach | np.eye(reach.shape[-1], dtype=bool)
-    for _ in range(reach.shape[-1].bit_length()):
-        reach = reach @ reach  # then reach[..., v, w]: w reachable from v
+    n = reach.shape[-1]
+    # 0/1 in float32, whose products run in BLAS where bool's do not; clipped
+    # to 1 after each product, every sum stays exact while n < 2**24
+    paths = (reach | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range(n.bit_length()):
+        paths = np.minimum(paths @ paths, 1.0)
+    reach = paths > 0.0  # then reach[..., v, w]: w reachable from v
     return (reach & ~reach[..., None, :, home]).any(axis=-1)
 
 

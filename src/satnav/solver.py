@@ -9,13 +9,13 @@ system per direction vector, gathered from the step table's rows of I - P,
 one stacked solve per block of directions, and are then averaged with the
 direction-space weights.
 
-A network with a cut node other than home is solved one block of its
-block-cut tree at a time, leaf-up from home: each part that hangs off a cut
-node enters its parent block's system only as leaf stubs whose length is
-half the part's mean excursion time, and a step to a leaf is folded into its
-neighbour's row without a subtraction. So the directions of different blocks
-are never multiplied together, and the enumeration cap bounds each block's
-core alone. A network whose only cut node, if any, is home is solved whole.
+A network of more than one block is solved one block of its block-cut tree
+(`Network.blocks`) at a time, leaf-up from home: each part that hangs off a
+cut node enters its parent block's system only as leaf stubs whose length
+is half the part's mean excursion time, and a step to a leaf is folded into
+its neighbour's row without a subtraction. So the directions of different
+blocks are never multiplied together, and the enumeration cap bounds each
+block's core alone. A network of one block is solved whole.
 
 Nodes from which the induced chain cannot reach home -- or that can wander
 into a region that cannot -- have infinite expected time. `lost_nodes`
@@ -47,7 +47,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import SingularSystem, ValidationError, check_probability
-from .network import Arc, Network, blocks, shortest_paths
+from .network import Arc, Network, shortest_paths
 from .pointers import (
     ENUMERATION_CAP,
     WALK_CHUNK,
@@ -209,9 +209,9 @@ def expected_profile(
     home. A node is +inf as soon as one positive-weight direction strands it.
     A given `space` must be the one enumerated for `net` at reliability `p`.
 
-    Without `space`, a network with a cut node other than home is solved
-    one block at a time (see `_profile_by_blocks`), and `cap` bounds the
-    directions of each block's core; every other network is solved whole.
+    Without `space`, a network of more than one block is solved one block
+    at a time (see `_profile_by_blocks`), and `cap` bounds the directions of
+    each block's core; a network of one block is solved whole.
     """
     step_table(net, policy)
     if space is None:
@@ -241,17 +241,16 @@ def _weighted_profile(net: Network, space: WeightedDirectionSpace,
 def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
                        cap: int) -> dict[str, float] | None:
     """`expected_profile` solved one block of the block-cut tree at a time,
-    leaf-up from home; None when no node but home is a cut node, when an
-    excursion into a part hanging off a cut node has infinite mean time, or
-    when a block's core would give a node another pointer law.
+    leaf-up from home; None for a network of one block, when an excursion
+    into a part hanging off a cut node has infinite mean time, or when a
+    block's core would give a node another pointer law.
 
-    A block's attachment is home, or the cut node through which its nodes
-    reach home. Its core is the block's arcs, homed at the attachment, plus
-    one leaf stub per arc j from a block node v into a part hanging off v,
-    of length R_j / 2, where R_j = length_j + T(w_j -> v) is the mean time
-    of an excursion through j and back, read off the core of w_j's block,
-    solved before. Every path home leaves the block through its attachment,
-    so pointer correctness toward it is correctness toward home; a stub is
+    A block's core is its arcs, homed at its attachment, plus one leaf stub
+    per arc j from a block node v into a part hanging off v, of length
+    R_j / 2, where R_j = length_j + T(w_j -> v) is the mean time of an
+    excursion through j and back, read off the core of w_j's block, solved
+    before. Every path home leaves the block through its attachment, so
+    pointer correctness toward it is correctness toward home; a stub is
     never correct and keeps v's degree, so v's pointer law and trust are
     unchanged. Given the pointers, the time out of the block is A + sum_j
     N_j R_j, where A and the visit counts N_j depend only on the block's
@@ -259,39 +258,26 @@ def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
     independently, so averaging R_j first is exact. A node's time to home is
     its core time plus its attachment's time to home.
     """
-    parts = blocks(net)
-    nodes = [list(dict.fromkeys(v for a in arcs for v in (a.u, a.v)))
-             for arcs in parts]
-    block_of = {}  # node -> the blocks it lies on
-    for k, members in enumerate(nodes):
-        for v in members:
-            block_of.setdefault(v, []).append(k)
-    if all(len(block_of[v]) == 1 for v in net.nodes if v != net.home):
+    if len(net.blocks) == 1:
         return None
-    # (block, attachment) top-down from home: each block once, as the tree of
-    # blocks and cut nodes has no cycle
-    order = [(k, net.home) for k in block_of[net.home]]
-    for k, attach in order:
-        order += [(child, v) for v in nodes[k] if v != attach
-                  for child in block_of[v] if child != k]
-    arc_block = {a.arc_id: k for k, arcs in enumerate(parts) for a in arcs}
     correct = shortest_paths(net).correct_arcs
     # no stub may share a name with a node
     stub = "\0"
     while any(v.startswith(stub) for v in net.nodes):
         stub += "\0"
     core_time = {}  # node -> expected time to its block's attachment
-    for k, attach in reversed(order):
-        arcs = list(parts[k])
-        inner = [v for v in nodes[k] if v != attach]
+    for arcs, attach in net.blocks:  # leaf-up
+        core_arcs, own = list(arcs), set(arcs)
+        inner = dict.fromkeys(v for a in arcs for v in (a.u, a.v) if v != attach)
         for v in inner:
             for a in net.incident(v):
-                if arc_block[a.arc_id] != k:
+                if a not in own:  # into a part hanging off v
                     excursion = a.length + core_time[a.other(v)]
                     if excursion == math.inf:
                         return None
-                    arcs.append(Arc(a.arc_id, v, stub + a.arc_id, excursion / 2))
-        core = Network(arcs, attach, _warn_cut_home=False)
+                    core_arcs.append(Arc(a.arc_id, v, stub + a.arc_id,
+                                         excursion / 2))
+        core = Network(core_arcs, attach)
         # a distance tie that rounds apart between the core and the network
         core_correct = shortest_paths(core).correct_arcs
         if any(core_correct[v] != correct[v] for v in core_correct):
@@ -300,10 +286,11 @@ def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
         times = _weighted_profile(core, space, policy)
         core_time.update((v, times[v]) for v in inner)
     total = {net.home: 0.0}
-    for k, attach in order:
-        for v in nodes[k]:
-            if v != attach:
-                total[v] = core_time[v] + total[attach]
+    for arcs, attach in reversed(net.blocks):  # home-down
+        for a in arcs:
+            for v in (a.u, a.v):
+                if v != attach:
+                    total[v] = core_time[v] + total[attach]
     return {v: total[v] for v in net.nodes}
 
 
@@ -648,11 +635,12 @@ def simulate(
             hi = min(lo + WALK_CHUNK, live)
             u = rng.random(hi - lo)
             row = rows[at[lo:hi]].astype(np.intp)
-            # the slot is the number of cumulative step chances below u; the
-            # last column of a row is 1.0, and u < 1, so it is never compared
+            # the slot is the number of cumulative step chances at or below
+            # u; the last column of a row is 1.0, and u < 1, so it is never
+            # compared
             k = row * width
             for threshold in thresholds:
-                k += u > threshold[row]
+                k += u >= threshold[row]
             t = times[lo:hi] + row_len[k]
             home = home_at[k]
             keep = ~home

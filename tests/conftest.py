@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -61,18 +60,26 @@ def line_network(lengths, home=None):
     return build_network(str(len(lengths)) if home is None else home, arcs)
 
 
+def grid_arcs(rows, cols, tag=""):
+    """Grid arcs with arc lengths 1..3; every node but the corner r0c0, and
+    every arc, is named with `tag` in front."""
+    def node(i, j):
+        return "r0c0" if i == j == 0 else f"{tag}r{i}c{j}"
+    arcs = []
+    for i in range(rows):
+        for j in range(cols):
+            if j < cols - 1:
+                arcs.append((f"{tag}h{i}{j}", node(i, j), node(i, j + 1),
+                             1 + (i + 2 * j) % 3))
+            if i < rows - 1:
+                arcs.append((f"{tag}v{i}{j}", node(i, j), node(i + 1, j),
+                             1 + (2 * i + j) % 3))
+    return arcs
+
+
 def grid3x3():
     """3x3 grid, home at a corner, arc lengths 1..3: 2,592 directions."""
-    arcs = []
-    for i in range(3):
-        for j in range(3):
-            if j < 2:
-                arcs.append((f"h{i}{j}", f"r{i}c{j}", f"r{i}c{j + 1}",
-                             1 + (i + 2 * j) % 3))
-            if i < 2:
-                arcs.append((f"v{i}{j}", f"r{i}c{j}", f"r{i + 1}c{j}",
-                             1 + (2 * i + j) % 3))
-    return build_network("r0c0", arcs)
+    return build_network("r0c0", grid_arcs(3, 3))
 
 
 # a chain of three triangles a{k-1}-x{k}-a{k}, home a0; a1 and a2 have degree 4
@@ -89,13 +96,6 @@ def cactus_arcs(triangles, seed):
             for k in range(1, triangles + 1)
             for side, u, v in (("a", f"a{k - 1}", f"x{k}"), ("b", f"x{k}", f"a{k}"),
                                ("c", f"a{k - 1}", f"a{k}"))]
-
-
-def quiet_network(home, arcs):
-    """build_network without the cut-home warning (generators hit it a lot)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_network(home, arcs)
 
 
 @st.composite
@@ -115,7 +115,7 @@ def small_networks(draw, max_nodes=7, max_extra_arcs=3):
             continue
         arcs.append((f"x{j}", str(u), str(v), draw(length)))
     home = str(draw(st.integers(min_value=0, max_value=n - 1)))
-    return quiet_network(home, arcs)
+    return build_network(home, arcs)
 
 
 @st.composite
@@ -128,7 +128,7 @@ def small_trees(draw, max_nodes=7):
         parent = draw(st.integers(min_value=0, max_value=i - 1))
         arcs.append((f"t{i}", str(i), str(parent), draw(length)))
     home = str(draw(st.integers(min_value=0, max_value=n - 1)))
-    return quiet_network(home, arcs)
+    return build_network(home, arcs)
 
 
 def rational_expected_profile(net, p, policy):

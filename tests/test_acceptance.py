@@ -16,6 +16,7 @@ from satnav import (
     bridge_M,
     bridge_time,
     BridgeSpec,
+    build_network,
     expected_profile,
     expected_time,
     expected_time_between,
@@ -32,7 +33,7 @@ from satnav import (
     unit_line_cross_time,
 )
 from satnav import fixtures as fx
-from conftest import line_network, quiet_network, star_network
+from conftest import line_network, star_network
 
 QBAR2 = star_optimal_trust(2, 0.75)
 QBAR3 = star_optimal_trust(3, 0.75)
@@ -262,7 +263,7 @@ def test_criterion_9_oracle_equivalence():
              float(rng.uniform(0.5, 3.0)))
             for i in range(1, n)
         ]
-        net = quiet_network("0", arcs)
+        net = build_network("0", arcs)
         p = float(rng.uniform(0.2, 0.9))
         policy, profile = tree_solve_counting(net, p)
         slow = expected_profile(net, p, policy)

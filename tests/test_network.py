@@ -14,7 +14,6 @@ from satnav import (
     parse_network_text,
     shortest_paths,
 )
-from satnav.network import blocks
 from conftest import small_networks, star_network
 
 
@@ -71,9 +70,10 @@ def test_parallel_arcs_allowed(spike):
     assert spike.degree("A") == 2
 
 
-def test_cut_home_warns():
-    with pytest.warns(UserWarning, match="cut node"):
-        build_network("H", [("a", "A", "H", 1), ("b", "H", "B", 1)])
+def test_home_is_a_cut_node_where_two_blocks_attach():
+    net = build_network("H", [("a", "A", "H", 1), ("b", "H", "B", 1)])
+    assert net.blocks == (((net.arc("a"),), "H"), ((net.arc("b"),), "H"))
+    assert find_bridges_and_cuts(net) == ({"a", "b"}, {"H"})
 
 
 def test_triangle_shortest_paths(triangle):
@@ -206,7 +206,7 @@ def _spans(arcs):
 @given(small_networks())
 @settings(max_examples=40, deadline=None)
 def test_blocks_are_two_connected_and_meet_at_the_cut_nodes(net):
-    parts = blocks(net)
+    parts = [arcs for arcs, _ in net.blocks]
     assert sorted(a.arc_id for b in parts for a in b) == \
         sorted(a.arc_id for a in net.arcs)
     for block in parts:  # no single node disconnects a block
@@ -219,7 +219,38 @@ def test_blocks_are_two_connected_and_meet_at_the_cut_nodes(net):
         kept = {w for a in rest for w in (a.u, a.v)}
         disconnects = kept != set(net.nodes) - {v} or not _spans(rest)
         assert (v in cuts) == disconnects
-    assert blocks(net) is parts  # kept on the network
+
+
+def _reach_home_without(net, cut):
+    """The nodes that reach home by arcs that avoid node `cut`."""
+    reached, frontier = {net.home}, [net.home]
+    while frontier:
+        v = frontier.pop()
+        for a in net.incident(v):
+            w = a.other(v)
+            if w != cut and w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached
+
+
+@given(small_networks())
+@settings(max_examples=60, deadline=None)
+def test_blocks_form_the_block_cut_tree_leaf_up_from_home(net):
+    owner = {}  # non-attachment node -> the index of its one block
+    for k, (arcs, attach) in enumerate(net.blocks):
+        ends = {v for a in arcs for v in (a.u, a.v)}
+        assert attach in ends
+        inner = ends - {attach}
+        if attach != net.home:
+            assert not inner & _reach_home_without(net, attach)
+        for v in inner:
+            assert v not in owner
+            owner[v] = k
+    assert sorted(owner) == sorted(v for v in net.nodes if v != net.home)
+    for k, (_, attach) in enumerate(net.blocks):
+        if attach != net.home:
+            assert owner[attach] > k  # the block it hangs from comes later
 
 
 def test_text_round_trip(spike):

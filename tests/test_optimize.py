@@ -28,7 +28,6 @@ from conftest import (
     CACTUS3,
     cactus_arcs,
     grid3x3,
-    quiet_network,
     rational_expected_profile,
     small_networks,
     star_network,
@@ -139,7 +138,7 @@ def grid2x3_or_two_triangles(draw):
     length = st.floats(min_value=0.5, max_value=3.0)
     arcs = [(f"e{k}", u, v, draw(length)) for k, (u, v) in enumerate(ends)]
     nodes = sorted({v for pair in ends for v in pair})
-    return quiet_network(draw(st.sampled_from(nodes)), arcs)
+    return build_network(draw(st.sampled_from(nodes)), arcs)
 
 
 @given(st.one_of(small_networks(max_nodes=6), grid2x3_or_two_triangles()))

@@ -214,3 +214,31 @@ def test_chances_is_the_step_table_law(net, trusts):
     for q, probs in zip(trusts, batch):
         assert probs.tobytes() == StepTable(form, Uniform(q)).probs.tobytes()
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
+
+
+def _lost_by_search(reach, home):
+    """lost_nodes for one relation, by a search from every node."""
+    n = len(reach)
+
+    def reachable(v):
+        seen, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for w in np.flatnonzero(reach[u]).tolist():
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+
+    ahead = [reachable(v) for v in range(n)]
+    return [any(home not in ahead[w] for w in ahead[v]) for v in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+def test_lost_nodes_matches_a_search(n):
+    # sparse and dense relations, so that long chains need every squaring
+    rng = np.random.default_rng(n)
+    reach = rng.random((12, n, n)) < np.linspace(0.02, 0.5, 12)[:, None, None]
+    home = n // 2
+    lost = pointers.lost_nodes(reach, home)
+    assert lost.tolist() == [_lost_by_search(r, home) for r in reach]

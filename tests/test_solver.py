@@ -30,8 +30,7 @@ from satnav import pointers, solver
 from satnav.pointers import compile_network, step_table
 from satnav.closed_form import line_increments
 from satnav.solver import BLOCK, TimeProfile, TrustLine, profile_residual
-from conftest import (CACTUS3, cactus_arcs, grid3x3, quiet_network,
-                      small_networks)
+from conftest import CACTUS3, cactus_arcs, grid3x3, grid_arcs, small_networks
 
 # a direction is a row of pointer slots, one per branch node in node order;
 # slot s is the node's s-th incident arc in the order the arcs were given
@@ -363,6 +362,19 @@ def test_simulate_perfect_information(tree):
     assert sim.censored == 0
 
 
+def test_simulate_slot_ties_take_the_next_slot(monkeypatch, triangle):
+    # a uniform of exactly 0 picks the first slot of positive chance: at p
+    # and q = 1 every walk steps A -> B -> C, never back through a slot of
+    # chance 0
+    class Zeros:
+        def random(self, n):
+            return np.zeros(n)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+    sim = simulate(triangle, 1.0, Uniform(1.0), "A", 10)
+    assert (sim.mean, sim.censored) == (2.0, 0)
+
+
 def test_simulate_censors_blocked_walks(triangle):
     # q = 1: the configuration that is wrong at B traps the walk
     sim = simulate(triangle, 0.75, Uniform(1.0), "A", 500, max_time=100,
@@ -505,15 +517,31 @@ def test_whole_network_where_blocks_would_differ(net, policy):
         expected_profile(net, 0.75, policy, space=space)
 
 
-def test_a_home_cut_node_alone_keeps_the_whole_solve(monkeypatch):
-    bowtie = quiet_network("H", [("HA", "H", "A", 1), ("AB", "A", "B", 1),
+def test_a_home_cut_node_splits_the_solve(monkeypatch):
+    bowtie = build_network("H", [("HA", "H", "A", 1), ("AB", "A", "B", 1),
                                  ("BH", "B", "H", 2), ("HC", "H", "C", 1),
                                  ("CD", "C", "D", 2), ("DH", "D", "H", 1)])
+    space = enumerate_direction_space(bowtie, p=0.75)
+    whole_net = expected_profile(bowtie, 0.75, Uniform(0.6), space=space)
     solved = []
     whole = solver._weighted_profile
     monkeypatch.setattr(solver, "_weighted_profile",
                         lambda net, *rest: solved.append(net) or whole(net, *rest))
-    expected_profile(bowtie, 0.75, Uniform(0.6))
-    assert solved == [bowtie]
+    profile = expected_profile(bowtie, 0.75, Uniform(0.6))
+    # each triangle is its own core, homed at H
+    assert [(core.home, core.nodes) for core in solved] == \
+        [("H", ("A", "B", "H")), ("H", ("C", "D", "H"))]
+    assert profile == pytest.approx(whole_net, rel=1e-12)
     expected_profile(fx.tree(), 0.75, Uniform(0.6))
-    assert len(solved) == 5  # one core per arc of the tree
+    assert len(solved) == 6  # one core per arc of the tree
+
+
+def test_two_grids_joined_at_home_solve_past_the_cap():
+    # 93,312 directions each, 8.7e9 together; each grid is one block at home
+    grid = build_network("r0c0", grid_arcs(3, 4))
+    joined = build_network("r0c0", grid_arcs(3, 4) + grid_arcs(3, 4, "s"))
+    policy = Uniform(0.55)
+    alone = expected_time(grid, 0.75, policy, "r2c3")
+    profile = expected_profile(joined, 0.75, policy)
+    assert profile["r2c3"] == pytest.approx(alone, rel=1e-12)
+    assert profile["sr2c3"] == pytest.approx(alone, rel=1e-12)
