@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotATree, ValidationError, check_probability
+from .errors import (NotATree, ValidationError, check_open_probability,
+                     check_probability)
 from .network import Network, classify
 from .solver import ByDegree
 
@@ -79,12 +80,6 @@ class LineCoefficients:
     optimal_q: float
 
 
-def _check_open_unit(name: str, value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise ValidationError(f"{name}={value} must lie strictly in (0, 1)")
-    return float(value)
-
-
 def star_optimal_trust(n: int, p: float) -> float:
     """Trust minimizing the time from a degree-n star center to home.
 
@@ -93,7 +88,7 @@ def star_optimal_trust(n: int, p: float) -> float:
     """
     if n < 2:
         raise ValidationError(f"star degree n={n} must be >= 2")
-    _check_open_unit("reliability p", p)
+    check_open_probability("reliability p", p)
     denom = 1.0 - n * (1.0 - p)
     if abs(denom) < _SINGULAR_TOL:
         return 0.5
@@ -106,7 +101,7 @@ def bridge_M(n: int, p: float, q: float) -> float:
     if n < 2:
         raise ValidationError(f"bridge degree n={n} must be >= 2")
     check_probability("reliability p", p)
-    _check_open_unit("trust q", q)
+    check_open_probability("trust q", q)
     return (p - 2.0 * q + q * q + n * q - n * p * q) / (q * (1.0 - q) * (n - 1))
 
 
@@ -128,7 +123,7 @@ def line_z(p: float, q: float) -> float:
     At the optimal trust it simplifies to 2 sqrt(p (1 - p)).
     """
     check_probability("reliability p", p)
-    _check_open_unit("trust q", q)
+    check_open_probability("trust q", q)
     return (q * q - 2.0 * p * q + p) / (q * (1.0 - q))
 
 
@@ -239,7 +234,7 @@ def tree_solve_counting(
     home, each increment computed leaf-upward from the round trips into the
     node's subtree.
     """
-    _check_open_unit("reliability p", p)
+    check_open_probability("reliability p", p)
     if len(net.arcs) != len(net.nodes) - 1:
         raise NotATree(
             f"{len(net.nodes)} nodes need exactly {len(net.nodes) - 1} arcs "

@@ -49,3 +49,10 @@ def check_probability(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name}={value} outside [0, 1]")
     return float(value)
+
+
+def check_open_probability(name: str, value: float) -> float:
+    """`value` as a float; ValidationError unless it lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name}={value} must lie strictly in (0, 1)")
+    return float(value)

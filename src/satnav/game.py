@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (DegeneratePolicy, OutOfRange, ValidationError,
-                     check_probability)
+                     check_open_probability, check_probability)
 
 MAX_ROUNDS = 10_000  # time steps before simulate_game gives up on a play
 
@@ -123,8 +123,7 @@ def symmetric_equilibrium(p: float) -> GameSolution:
     The closed form has a removable singularity at p = 1/2 with limit 1/2
     (both players walk randomly).
     """
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"reliability p={p} must lie strictly in (0, 1)")
+    check_open_probability("reliability p", p)
     if abs(2.0 * p - 1.0) < 1e-12:
         q = 0.5
     else:

@@ -6,11 +6,13 @@ networks, so every trust search scores a coarse grid first and refines only
 inside the winning bracket. Both run on a `TrustLine`, a subtraction-free
 elimination shared across pointer prefixes that makes no LAPACK call: one
 pass scores every grid trust, and one pass carrying Taylor coefficients
-gives the exact first and second derivatives for a
-safeguarded Newton iteration on dE/dq = 0. The reported value is one
-`expected_time` at the chosen trust. Uniform-mode searches stay inside
-[eps, 1-eps]: expected time diverges at both trust endpoints when a branch
-node sits next to home, so the clamp never hides an optimum.
+gives the exact first and second derivatives for a safeguarded Newton
+iteration on dE/dq = 0. The reported value is `expected_time` at the chosen
+trust, the number `satnav solve` prints. The search eliminates the whole
+network, so `cap` bounds the whole network's direction count. Both modes
+take a reliability strictly inside (0, 1). Uniform-mode searches stay inside
+[eps, 1-eps]: there expected time diverges at both trust endpoints when a
+branch node sits next to home, so the clamp never hides an optimum.
 Degree-indexed coordinates may legitimately sit at exactly 0 or 1 (a
 degree-2 node whose two arcs both lead the same way wants trust 1), so
 counting-mode searches score the exact endpoints on the same `TrustLine`
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .closed_form import star_optimal_trust
-from .errors import NonConvergence, ValidationError
+from .errors import NonConvergence, ValidationError, check_open_probability
 from .network import Network, classify
-from .pointers import ENUMERATION_CAP, enumerate_direction_space
+from .pointers import ENUMERATION_CAP, direction_count
 from .solver import ByDegree, TrustLine, TrustPolicy, Uniform, expected_time
 
 EPS = 1e-4
@@ -132,7 +134,8 @@ def optimize_uniform(
     With `warm`, a 13-point grid within 0.06 of it is searched first; the
     full 101-point grid runs when that window's optimum is not interior.
     """
-    space = enumerate_direction_space(net, p=p, cap=cap)
+    check_open_probability("reliability p", p)
+    direction_count(net, cap)
     line = TrustLine(net, p, start, Uniform(0.0), Uniform(1.0))
     found = None
     if warm is not None:
@@ -144,8 +147,7 @@ def optimize_uniform(
         found = _search(line, EPS, 1.0 - EPS, 101)
     q, diag = found
     return OptimizationResult(
-        Uniform(q), expected_time(net, p, Uniform(q), start, space=space),
-        start, diag)
+        Uniform(q), expected_time(net, p, Uniform(q), start, cap=cap), start, diag)
 
 
 def optimize_counting(
@@ -162,6 +164,7 @@ def optimize_counting(
     kept when it wins the grid and the derivative there points outward,
     which reachability makes safe (a stranding endpoint scores +inf).
     """
+    check_open_probability("reliability p", p)
     degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
     if not degrees:
         raise ValidationError("network has no branch node to optimize")
@@ -170,7 +173,7 @@ def optimize_counting(
             f"{len(degrees)} distinct branch degrees exceed the desk-scale "
             "limit of 4"
         )
-    space = enumerate_direction_space(net, p=p, cap=cap)
+    direction_count(net, cap)
     trusts = {k: star_optimal_trust(k, p) for k in degrees}
     if warm is not None:
         trusts.update({k: warm[k] for k in degrees if k in warm})
@@ -184,7 +187,7 @@ def optimize_counting(
             trusts[k] = q
         if largest_move < COORDINATE_TOL:
             policy = ByDegree(dict(trusts))
-            value = expected_time(net, p, policy, start, space=space)
+            value = expected_time(net, p, policy, start, cap=cap)
             return OptimizationResult(policy, value, start, diag)
     raise NonConvergence(
         f"coordinate descent did not settle within {MAX_SWEEPS} sweeps"

@@ -84,6 +84,17 @@ class CompiledNetwork:
         return np.where(self.row_pointer[rows], t,
                         self.row_used[rows] * ((1.0 - t) / self.row_spread[rows]))
 
+    def reach(self, rows, probs) -> np.ndarray:
+        """reach[..., v, w]: node v steps to node w with positive chance when
+        v steps by the table rows it owns among rows[..., k], at chances
+        probs[..., k, slot]. Home's row is cleared, so home absorbs."""
+        *at, k, s = np.nonzero(probs > 0.0)
+        picked = np.broadcast_to(rows, probs.shape[:-1])[(*at, k)]
+        reach = np.zeros(probs.shape[:-2] + (len(self.nodes),) * 2, dtype=bool)
+        reach[(*at, self.row_node[picked], self.row_dest[picked, s])] = True
+        reach[..., self.home, :] = False
+        return reach
+
 
 def lost_nodes(reach: np.ndarray, home: int) -> np.ndarray:
     """lost[..., v]: from node v the walk can enter a node from which node
@@ -158,11 +169,7 @@ def enumerate_direction_space(
     mu = pointer_table(net, shortest_paths(net), p)
     form = compile_network(net)
     degrees = form.branch_degree.tolist()
-    size = math.prod(degrees)
-    if size > cap:
-        raise CapExceeded(
-            f"{size} direction vectors exceed the enumeration cap {cap}"
-        )
+    size = direction_count(net, cap)
     dtype = np.min_scalar_type(max(degrees, default=1))
     picks = np.indices(degrees, dtype=dtype).reshape(len(degrees), size)
     slots = np.empty((size, len(degrees)), dtype=dtype)
@@ -172,6 +179,14 @@ def enumerate_direction_space(
         slots[:, j] = np.array(by_arc_id, dtype=dtype)[picks[j]]
         weights *= mu[i, slots[:, j]]
     return WeightedDirectionSpace(form, slots, weights, p)
+
+
+def direction_count(net: Network, cap: int) -> int:
+    """The number of direction vectors of `net`; CapExceeded above `cap`."""
+    size = math.prod(compile_network(net).branch_degree.tolist())
+    if size > cap:
+        raise CapExceeded(f"{size} direction vectors exceed the enumeration cap {cap}")
+    return size
 
 
 def sample_pointer_slots(net: Network, spd: ShortestPathData, p: float,
@@ -213,6 +228,9 @@ class StepTable:
         # in branch order, so that a missing degree raises at the first one
         trust[form.branch] = list(map(policy.trust_at, form.branch_degree.tolist()))
         self.sharp = np.isin(trust[form.branch], (0.0, 1.0))
+        # one int64 key per pattern of the sharp pointers, where one holds it
+        deg = form.branch_degree[self.sharp].tolist()
+        self.radix = np.cumprod([1] + deg[:-1]) if math.prod(deg) < 2**63 else None
         self.trust = trust[form.row_node]
         self.probs = form.chances(self.trust)
 
@@ -242,13 +260,12 @@ class StepTable:
         rid[:, form.col[form.branch]] += slots
         if not self.sharp.any():
             return rid, np.ones(rid.shape, dtype=bool)
-        _, first, inverse = np.unique(slots[:, self.sharp], axis=0,
-                                      return_index=True, return_inverse=True)
+        key = slots[:, self.sharp]
+        _, first, inverse = np.unique(key if self.radix is None else key @ self.radix,
+                                      axis=0, return_index=True, return_inverse=True)
         rows = rid[first]  # one direction of each pattern
-        pattern, k, s = np.nonzero(self.probs[rows] > 0.0)
-        reach = np.zeros((len(rows),) + (len(form.nodes),) * 2, dtype=bool)
-        reach[pattern, form.nonhome[k], form.row_dest[rows][pattern, k, s]] = True
-        finite = ~lost_nodes(reach, form.home)[:, form.nonhome][inverse]
+        lost = lost_nodes(form.reach(rows, self.probs[rows]), form.home)
+        finite = ~lost[:, form.nonhome][inverse]
         rid[~finite] = len(self.probs) + np.nonzero(~finite)[1]
         return rid, finite
 

@@ -15,15 +15,17 @@ cut node enters its parent block's system only as leaf stubs whose length
 is half the part's mean excursion time, and a step to a leaf is folded into
 its neighbour's row without a subtraction. So the directions of different
 blocks are never multiplied together, and the enumeration cap bounds each
-block's core alone. A network of one block is solved whole.
+block's core alone. Only a network of one block, or one where a core
+would round a distance tie apart, is solved whole.
 
-Nodes from which the induced chain cannot reach home -- or that can wander
-into a region that cannot -- have infinite expected time. `lost_nodes`
-finds them, for `TrustLine` too; before a solve it runs once per pattern of
-the pointers at the nodes of trust 0 or 1, and not at all without such a
-node. They get identity rows, so cycling pointer configurations are exact
-infinities rather than solver blow-ups. A solve that fails in LAPACK or
-returns a negative or NaN time raises SingularSystem instead of answering.
++inf means lost: the node may enter a node from which the induced chain
+cannot reach home. `lost_nodes` finds them in `CompiledNetwork.reach`, for
+the solve, the block solver and `TrustLine`; before a solve it runs once
+per pattern of the pointers at the nodes of trust 0 or 1, and not at all
+without such a node. Lost nodes get identity rows, so cycling pointers are
+exact infinities rather than solver blow-ups. A solve that fails in LAPACK
+or returns a negative or NaN time raises SingularSystem; a finite time too
+large for a float raises OutOfRange.
 
 The optimizer's trust search runs on a second engine, `TrustLine`, along a
 segment between two trust policies. It reads only the reliability and solves
@@ -46,20 +48,11 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import SingularSystem, ValidationError, check_probability
+from .errors import OutOfRange, SingularSystem, ValidationError, check_probability
 from .network import Arc, Network, shortest_paths
-from .pointers import (
-    ENUMERATION_CAP,
-    WALK_CHUNK,
-    StepTable,
-    WeightedDirectionSpace,
-    compile_network,
-    enumerate_direction_space,
-    lost_nodes,
-    pointer_table,
-    sample_pointer_slots,
-    step_table,
-)
+from .pointers import (ENUMERATION_CAP, WALK_CHUNK, StepTable, WeightedDirectionSpace,
+                       compile_network, enumerate_direction_space, lost_nodes,
+                       pointer_table, sample_pointer_slots, step_table)
 
 BLOCK = 1024  # directions per stacked solve in expected_profile
 # the most final states (directions x trusts x Taylor coefficients) that a
@@ -70,6 +63,7 @@ BLOCK = 1024  # directions per stacked solve in expected_profile
 # 0.032-0.036 s at 2**14, at a peak RSS of 34.3, 34.0 and 34.9 MB; 2**16
 # was slower still and took 8 MB more
 STATE_BUDGET = 2**13
+_OVERFLOW = "an expected time overflows a float; it is finite but too large"
 
 
 @dataclass(frozen=True)
@@ -144,6 +138,8 @@ def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not (solved >= 0.0).all():
         raise SingularSystem(f"hitting-time system gave a negative or NaN "
                              f"time in a block of {len(rows)} directions")
+    if (solved == math.inf).any():
+        raise OutOfRange(_OVERFLOW)
     return solved
 
 
@@ -241,9 +237,8 @@ def _weighted_profile(net: Network, space: WeightedDirectionSpace,
 def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
                        cap: int) -> dict[str, float] | None:
     """`expected_profile` solved one block of the block-cut tree at a time,
-    leaf-up from home; None for a network of one block, when an excursion
-    into a part hanging off a cut node has infinite mean time, or when a
-    block's core would give a node another pointer law.
+    leaf-up from home; None for a network of one block, or when a block's
+    core would give a node another pointer law.
 
     A block's core is its arcs, homed at its attachment, plus one leaf stub
     per arc j from a block node v into a part hanging off v, of length
@@ -256,7 +251,11 @@ def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
     N_j R_j, where A and the visit counts N_j depend only on the block's
     pointers and R_j only on the hanging part's, which are drawn
     independently, so averaging R_j first is exact. A node's time to home is
-    its core time plus its attachment's time to home.
+    its core time plus its attachment's time to home; a finite sum that
+    overflows raises OutOfRange. A stub whose R_j is +inf gets a finite
+    stand-in length, and every core node from which a direction of positive
+    weight can step onto it is +inf: pointers combine freely, so this is the
+    whole network's rule, and the stand-in never reaches the other nodes.
     """
     if len(net.blocks) == 1:
         return None
@@ -267,14 +266,15 @@ def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
         stub += "\0"
     core_time = {}  # node -> expected time to its block's attachment
     for arcs, attach in net.blocks:  # leaf-up
-        core_arcs, own = list(arcs), set(arcs)
+        core_arcs, own, dead = list(arcs), set(arcs), []
         inner = dict.fromkeys(v for a in arcs for v in (a.u, a.v) if v != attach)
         for v in inner:
             for a in net.incident(v):
                 if a not in own:  # into a part hanging off v
-                    excursion = a.length + core_time[a.other(v)]
-                    if excursion == math.inf:
-                        return None
+                    excursion = _add(a.length, core_time[a.other(v)])
+                    if excursion == math.inf:  # a finite stand-in, then +inf
+                        dead.append(stub + a.arc_id)
+                        excursion = a.length
                     core_arcs.append(Arc(a.arc_id, v, stub + a.arc_id,
                                          excursion / 2))
         core = Network(core_arcs, attach)
@@ -284,14 +284,29 @@ def _profile_by_blocks(net: Network, p: float, policy: TrustPolicy,
             return None
         space = enumerate_direction_space(core, p=p, cap=cap)
         times = _weighted_profile(core, space, policy)
+        if dead:  # the rows of positive-weight directions, but dead stubs'
+            form = space.form
+            used = ~np.isin(form.row_node, form.branch + [form.index[d] for d in dead])
+            used[form.row_start[form.branch] + space.slots[space.weights > 0]] = True
+            rows = np.flatnonzero(used)
+            reach = form.reach(rows, step_table(core, policy).probs[rows])
+            times.update((v, math.inf) for v, lost in
+                         zip(form.nodes, lost_nodes(reach, form.home)) if lost)
         core_time.update((v, times[v]) for v in inner)
     total = {net.home: 0.0}
     for arcs, attach in reversed(net.blocks):  # home-down
         for a in arcs:
             for v in (a.u, a.v):
                 if v != attach:
-                    total[v] = core_time[v] + total[attach]
+                    total[v] = _add(core_time[v], total[attach])
     return {v: total[v] for v in net.nodes}
+
+
+def _add(a: float, b: float) -> float:
+    """a + b; OutOfRange when two finite times overflow."""
+    if a + b == math.inf and max(a, b) < math.inf:
+        raise OutOfRange(_OVERFLOW)
+    return a + b
 
 
 def expected_time(
@@ -382,7 +397,7 @@ class TrustLine:
         form = self.form = compile_network(net)
         origin = form.index[start]
         branch = set(form.branch)
-        order = [] if origin == form.home else sorted(
+        order = self.elimination = [] if origin == form.home else sorted(
             (i for i in form.nonhome if i != origin),
             key=lambda i: form.degree[i] if i in branch else 0) + [origin]
         mu = pointer_table(net, shortest_paths(net), p)
@@ -414,16 +429,6 @@ class TrustLine:
         table[..., -1] = (probs * self.alen).sum(axis=-1)
         return table
 
-    def _lost(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """lost[trust, state, node]: home is not reached almost surely from
-        the node when state k steps by table rows `rows[k]` at `probs`."""
-        n = len(self.sizes)
-        trust, state, row, slot = np.nonzero(probs[:, rows] > 0.0)
-        reach = np.zeros((len(probs), len(rows), n + 1, n + 1), dtype=bool)
-        picked = rows[state, row]
-        reach[trust, state, self.row_node[picked], self.dcol[picked, slot]] = True
-        return lost_nodes(reach, n)[..., :n]
-
     def _expected(self, trusts, order: int) -> np.ndarray:
         """Taylor coefficients in q up to `order` of the expected time from
         the start at each of `trusts`, shape (order + 1, len(trusts))."""
@@ -452,7 +457,9 @@ class TrustLine:
         if order:
             x[1] = self._table(self.slope)[rows]
         if sharp:
-            lost = self._lost(probs, rows)
+            # lost[trust, state, node], nodes in elimination order
+            reach = self.form.reach(self.rows[rows], probs[:, rows])
+            lost = lost_nodes(reach, self.form.home)[..., self.elimination]
             # nodes that cannot reach home: entries into them go home, and
             # their own rows go home at no cost
             into = lost[:, :, None, :]

@@ -169,6 +169,47 @@ def test_singular_solve_exits_four(tmp_path, capsys):
     assert "internal error: hitting-time system singular" in err
 
 
+@pytest.mark.parametrize("args, code, time", [
+    # about 2.0e320 and 3.1e358: finite, but too large for a float
+    (("--fixture", "line5", "--p", "1", "--q", "1e-80", "--start", "0"), 2, None),
+    (("--fixture", "line7", "--p", "0.5", "--q", "1e-60", "--start", "0"), 2, None),
+    (("--fixture", "line5", "--p", "1", "--q", "1e-60", "--start", "0"), 0, "2e+240"),
+    # at trust 1 the wrong pointers trap the walk: lost, not overflowed
+    (("--fixture", "triangle", "--p", "0.75", "--q", "1", "--start", "A"), 0, "inf"),
+])
+def test_inf_means_lost_and_overflow_exits_two(capsys, args, code, time):
+    got, out, err = run_cli(capsys, "solve", *args)
+    assert got == code
+    if code:
+        assert out == "" and "overflows a float" in err
+    else:
+        assert err == "" and parse_csv(out)[1][0][4] == time
+
+
+@pytest.mark.parametrize("start, p, trusts, time", [
+    ("a1", "1", ("--q2", "0", "--q4", "1"), "1"),
+    ("a20", "0.75", ("--q2", "1", "--q4", "0.5"), "inf"),
+])
+def test_endless_excursions_past_the_cap(tmp_path, capsys, start, p, trusts, time):
+    # 2**59 directions; each excursion of infinite mean time stays in its
+    # block, where the whole network would exit 3 (over the cap)
+    path = tmp_path / "cactus20.txt"
+    path.write_text(network_to_text(build_network("a0", cactus_arcs(20, seed=0))))
+    code, out, err = run_cli(capsys, "solve", "--net", str(path), "--p", p,
+                             *trusts, "--start", start)
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[1][0][4] == time
+
+
+@pytest.mark.parametrize("mode", ["uniform", "counting"])
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_optimize_reliability_at_an_end_exits_two(capsys, mode, p):
+    code, out, err = run_cli(capsys, "optimize", "--fixture", "tree", "--p", p,
+                             "--start", "A", "--mode", mode)
+    assert (code, out) == (2, "")
+    assert "must lie strictly in (0, 1)" in err
+
+
 def test_line_near_trust_zero_is_exact(capsys):
     # at trust 1e-12 every step of line5 but one goes back toward the leaf;
     # solved one arc at a time, with the leaf folded into its neighbour's

@@ -457,6 +457,41 @@ def test_cap_propagates(triangle):
         optimize_uniform(triangle, 0.75, "A", cap=2)
 
 
+@pytest.mark.parametrize("optimize", [optimize_uniform, optimize_counting])
+def test_cap_counts_the_whole_network(optimize):
+    # the search eliminates the whole network, so the cap counts all of its
+    # 2**8 directions, with enumeration's message, though expected_time
+    # solves each triangle's core within the cap
+    net = build_network("a0", CACTUS3)
+    with pytest.raises(CapExceeded) as enumerated:
+        enumerate_direction_space(net, p=0.75, cap=255)
+    with pytest.raises(CapExceeded) as searched:
+        optimize(net, 0.75, "a3", cap=255)
+    assert str(searched.value) == str(enumerated.value)
+    assert math.isfinite(expected_time(net, 0.75, Uniform(0.5), "a3", cap=255))
+
+
+@pytest.mark.parametrize("optimize", [optimize_uniform, optimize_counting])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.25, 1.5, math.nan])
+def test_optimizers_take_a_reliability_strictly_inside_0_1(tree, optimize, p):
+    # at p = 1 uniform mode returned its clamp, q = 1 - 1e-4, where q = 1
+    # is better; counting mode failed inside the star's closed form
+    with pytest.raises(ValidationError,
+                       match=r"reliability p=.* must lie strictly in \(0, 1\)"):
+        optimize(tree, p, "A")
+
+
+@pytest.mark.parametrize("name", ["spike", "tree", "line5", "cactus3"])
+def test_reported_value_is_expected_time(name):
+    # exactly the number `satnav solve` prints for the chosen policy, which
+    # on these cut networks is solved block by block
+    net = build_network("a0", CACTUS3) if name == "cactus3" else fx.fixture(name)
+    for start in net.nodes:
+        for optimize in (optimize_uniform, optimize_counting):
+            res = optimize(net, 0.75, start)
+            assert res.value == expected_time(net, 0.75, res.policy, start)
+
+
 def test_quartic_first_order_conditions(tree):
     def quartic_a(p, q):
         return ((3 - 5 * p) * q**4 + (23 * p - 12 * p * p - 7) * q**3

@@ -242,3 +242,34 @@ def test_lost_nodes_matches_a_search(n):
     home = n // 2
     lost = pointers.lost_nodes(reach, home)
     assert lost.tolist() == [_lost_by_search(r, home) for r in reach]
+
+
+@given(small_networks(), st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_reach_is_the_step_law_with_home_absorbing(net, q):
+    form = compile_network(net)
+    probs = StepTable(form, Uniform(q)).probs
+    rows = np.arange(len(probs))
+    want = np.zeros((len(form.nodes),) * 2, dtype=bool)
+    for r in rows:
+        want[form.row_node[r], form.row_dest[r, probs[r] > 0.0]] = True
+    want[form.home] = False
+    # one set of rows shared by a batch of two step laws
+    reach = form.reach(rows, np.stack([probs, np.zeros_like(probs)]))
+    assert reach[0].tolist() == want.tolist()
+    assert not reach[1].any()
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_sharp_patterns_by_key_or_by_row_agree(q):
+    # the mixed-radix integer key, and the rows themselves where a key
+    # would overflow int64, find the same patterns
+    net = fx.fixture("c4")
+    space = enumerate_direction_space(net, p=0.75)
+    table = StepTable(compile_network(net), Uniform(q))
+    assert table.radix is not None
+    keyed = table.table_rows(space.slots)
+    table.radix = None
+    by_row = table.table_rows(space.slots)
+    assert [a.tolist() for a in keyed] == [b.tolist() for b in by_row]
+    assert not keyed[1].all()

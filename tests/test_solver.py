@@ -1,6 +1,7 @@
 """Hitting-time solver, averaging, travel between nodes, Monte Carlo."""
 
 import math
+import random
 import sys
 import threading
 import time
@@ -500,21 +501,70 @@ def test_twenty_triangles_agree_with_the_walker():
     assert abs(sim.mean - exact) <= 5 * sim.std_error
 
 
-@pytest.mark.parametrize("net, policy", [
-    # at trust 1 the triangle behind V traps the walk: its excursion is +inf
+def _spy_solves(monkeypatch):
+    """The networks handed to `_weighted_profile` from now on."""
+    solved, whole = [], solver._weighted_profile
+    monkeypatch.setattr(solver, "_weighted_profile",
+                        lambda net, *rest: solved.append(net) or whole(net, *rest))
+    return solved
+
+
+@pytest.mark.parametrize("net, policy, whole", [
+    # at trust 1 the triangle behind V traps the walk: its excursion is +inf,
+    # and so is V, solved in its own block
     (build_network("H", [("VH", "V", "H", 1), ("VX", "V", "X", 1),
                          ("XY", "X", "Y", 1), ("YV", "Y", "V", 1)]),
-     Uniform(1.0)),
+     Uniform(1.0), False),
     # X's two arcs tie in the triangle homed at A, but not after the long
     # arc's rounding, so the core would give X another pointer law
     (build_network("H", [("HA", "H", "A", 1e10), ("AM", "A", "M", 0.2),
                          ("MX", "M", "X", 0.1), ("XA", "X", "A", 0.3)]),
-     Uniform(0.6)),
+     Uniform(0.6), True),
 ], ids=["infinite-excursion", "tie-rounds-apart"])
-def test_whole_network_where_blocks_would_differ(net, policy):
+def test_whole_network_where_blocks_would_differ(net, policy, whole, monkeypatch):
     space = enumerate_direction_space(net, p=0.75)
-    assert expected_profile(net, 0.75, policy) == \
-        expected_profile(net, 0.75, policy, space=space)
+    want = expected_profile(net, 0.75, policy, space=space)
+    solved = _spy_solves(monkeypatch)
+    assert expected_profile(net, 0.75, policy) == want
+    assert (net in solved) == whole
+
+
+def _corpus_network(rng):
+    """A spanning tree on 3 to 8 nodes plus up to 3 extra arcs, of integer
+    lengths, so that no distance tie rounds apart; a random home."""
+    n = rng.randint(3, 8)
+    arcs = [(f"t{i}", i, rng.randrange(i), rng.randint(1, 3)) for i in range(1, n)]
+    for j in range(rng.randint(0, 3)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.append((f"x{j}", u, v, rng.randint(1, 3)))
+    return build_network(rng.randrange(n), arcs)
+
+
+def test_endless_excursions_stay_in_their_blocks(monkeypatch):
+    # an excursion of infinite mean time makes +inf every core node that a
+    # direction of positive weight can step into it from, which is the whole
+    # network's rule; sharp trusts (0 or 1) at p in {0, 1} make such traps
+    rng = random.Random(29)
+    nets = [fx.fixture(name) for name in fx.FIXTURES]
+    nets += [_corpus_network(rng) for _ in range(80)]
+    nets = [net for net in nets if len(net.blocks) > 1]
+    whole, solved = solver._weighted_profile, _spy_solves(monkeypatch)
+    endless = 0
+    for net in nets:
+        degrees = sorted({net.degree(v) for v in classify(net).branch_nodes})
+        policies = [Uniform(0.0), Uniform(1.0), Uniform(0.5)] + [
+            ByDegree({**dict.fromkeys(degrees, 0.6), k: q})
+            for k in degrees for q in (0.0, 1.0)]
+        for p in (0.0, 0.5, 0.75, 1.0):
+            space = enumerate_direction_space(net, p=p)
+            for policy in policies:
+                want = whole(net, space, policy)
+                got = expected_profile(net, p, policy)
+                assert got == pytest.approx(want, rel=1e-14), (net.arcs, p, policy)
+                endless += math.inf in want.values()
+    assert not [net for net in solved if net in nets]
+    assert endless > 1000
 
 
 def test_a_home_cut_node_splits_the_solve(monkeypatch):
@@ -523,10 +573,7 @@ def test_a_home_cut_node_splits_the_solve(monkeypatch):
                                  ("CD", "C", "D", 2), ("DH", "D", "H", 1)])
     space = enumerate_direction_space(bowtie, p=0.75)
     whole_net = expected_profile(bowtie, 0.75, Uniform(0.6), space=space)
-    solved = []
-    whole = solver._weighted_profile
-    monkeypatch.setattr(solver, "_weighted_profile",
-                        lambda net, *rest: solved.append(net) or whole(net, *rest))
+    solved = _spy_solves(monkeypatch)
     profile = expected_profile(bowtie, 0.75, Uniform(0.6))
     # each triangle is its own core, homed at H
     assert [(core.home, core.nodes) for core in solved] == \
